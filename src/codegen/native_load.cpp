@@ -27,13 +27,12 @@
 
 #include "codegen/cache.h"
 #include "codegen/config.h"
+#include "codegen/native.h"
 #include "driver/driver.h"
 #include "support/strings.h"
 #include "support/subprocess.h"
 
 namespace diderot::codegen {
-
-std::string emitCpp(const ir::Module &M, bool DoublePrecision);
 
 std::string hostCompilerId() {
   // The configured compiler plus the banner of the compiler that built this
@@ -72,8 +71,6 @@ NativeCacheStats nativeCacheStats() {
   S.Evicted = cacheEvictionCount();
   return S;
 }
-
-namespace {
 
 namespace fs = std::filesystem;
 
@@ -134,11 +131,12 @@ struct CApi {
   int (*OutputIsInt)(void *, int);
 };
 
-/// A loaded shared object (kept open for the process lifetime).
 struct LoadedLib {
   void *Handle = nullptr;
   CApi Api{};
 };
+
+namespace {
 
 std::mutex CacheLock;
 std::map<std::string, LoadedLib> LibCache;
@@ -147,10 +145,10 @@ std::map<std::string, LoadedLib> LibCache;
 // the serve daemon's shared worker pool depends on.
 std::map<std::string, std::shared_ptr<std::mutex>> Building;
 
-Result<LoadedLib *> compileAndLoad(const std::string &Source,
-                                   const CompileOptions &Opts,
-                                   const std::string &Name) {
-  using RL = Result<LoadedLib *>;
+Result<const LoadedLib *> compileAndLoad(const std::string &Source,
+                                         const CompileOptions &Opts,
+                                         const std::string &Name) {
+  using RL = Result<const LoadedLib *>;
   std::string Key = programCacheKey(Source, Opts).hex();
   std::shared_ptr<std::mutex> Build;
   {
@@ -392,23 +390,17 @@ Result<LoadedLib *> compileAndLoad(const std::string &Source,
 /// rt::ProgramInstance adapter over the C ABI.
 class NativeInstance final : public rt::ProgramInstance {
 public:
-  NativeInstance(const LoadedLib *Lib, const ir::Module &M)
-      : Api(&Lib->Api), Prog(Api->Create()) {
-    for (const ir::GlobalVar &G : M.Globals)
-      if (G.IsInput)
-        Inputs.push_back({G.Name, G.Ty.str(), G.DefaultFn >= 0});
-    for (const ir::StateSlot &S : M.State)
-      if (S.IsOutput)
-        Outputs.push_back({S.Name, S.Ty.isTensor() ? S.Ty.shape() : Shape{},
-                           S.Ty.isInt()});
-  }
+  NativeInstance(const LoadedLib &Lib, std::shared_ptr<const NativeDescs> D)
+      : Api(&Lib.Api), Prog(Api->Create()), Descs(std::move(D)) {}
   ~NativeInstance() override {
     if (Prog)
       Api->Destroy(Prog);
   }
 
-  std::vector<rt::InputDesc> inputs() const override { return Inputs; }
-  std::vector<rt::OutputDesc> outputs() const override { return Outputs; }
+  std::vector<rt::InputDesc> inputs() const override { return Descs->Inputs; }
+  std::vector<rt::OutputDesc> outputs() const override {
+    return Descs->Outputs;
+  }
 
   Status setInputReal(const std::string &Name, double V) override {
     return check(Api->SetScalars(Prog, Name.c_str(), &V, 1));
@@ -591,9 +583,9 @@ public:
                    std::vector<double> &Data) const override {
     int Comps = 1;
     bool Found = false;
-    for (size_t I = 0; I < Outputs.size(); ++I)
-      if (Outputs[I].Name == Name) {
-        Comps = Outputs[I].ValShape.numComponents();
+    for (const rt::OutputDesc &O : Descs->Outputs)
+      if (O.Name == Name) {
+        Comps = O.ValShape.numComponents();
         Found = true;
       }
     if (!Found)
@@ -682,25 +674,35 @@ private:
 
   const CApi *Api;
   void *Prog;
-  std::vector<rt::InputDesc> Inputs;
-  std::vector<rt::OutputDesc> Outputs;
+  std::shared_ptr<const NativeDescs> Descs;
   observe::ProfileData LastProfile;
   observe::DigestLog LastDigests; ///< digest stream of the last recorded run
 };
 
 } // namespace
 
-Result<std::unique_ptr<rt::ProgramInstance>>
-loadNative(const ir::Module &M, const CompileOptions &Opts,
-           const std::string &Name) {
-  using RP = Result<std::unique_ptr<rt::ProgramInstance>>;
-  std::string Source = emitCpp(M, Opts.DoublePrecision);
-  Result<LoadedLib *> Lib = compileAndLoad(Source, Opts, Name);
-  if (!Lib.isOk())
-    return RP::error(Lib.message());
-  std::unique_ptr<rt::ProgramInstance> P =
-      std::make_unique<NativeInstance>(*Lib, M);
-  return P;
+std::shared_ptr<const NativeDescs> nativeDescs(const ir::Module &M) {
+  auto D = std::make_shared<NativeDescs>();
+  for (const ir::GlobalVar &G : M.Globals)
+    if (G.IsInput)
+      D->Inputs.push_back({G.Name, G.Ty.str(), G.DefaultFn >= 0});
+  for (const ir::StateSlot &S : M.State)
+    if (S.IsOutput)
+      D->Outputs.push_back({S.Name, S.Ty.isTensor() ? S.Ty.shape() : Shape{},
+                            S.Ty.isInt()});
+  return D;
+}
+
+Result<const LoadedLib *> loadNativeLib(const ir::Module &M,
+                                        const CompileOptions &Opts,
+                                        const std::string &Name) {
+  return compileAndLoad(emitCpp(M, Opts.DoublePrecision), Opts, Name);
+}
+
+std::unique_ptr<rt::ProgramInstance>
+makeNativeInstance(const LoadedLib &Lib,
+                   std::shared_ptr<const NativeDescs> Descs) {
+  return std::make_unique<NativeInstance>(Lib, std::move(Descs));
 }
 
 } // namespace diderot::codegen

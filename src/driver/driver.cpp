@@ -2,10 +2,13 @@
 
 #include "driver/driver.h"
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
+#include "codegen/native.h"
 #include "frontend/parser.h"
 #include "frontend/typecheck.h"
 #include "interp/interp.h"
@@ -14,20 +17,20 @@
 
 namespace diderot {
 
-// Implemented in src/codegen.
-namespace codegen {
-std::string emitCpp(const ir::Module &M, bool DoublePrecision);
-Result<std::unique_ptr<rt::ProgramInstance>>
-loadNative(const ir::Module &M, const CompileOptions &Opts,
-           const std::string &Name);
-} // namespace codegen
-
 struct CompiledProgram::Impl {
   ir::Module Mid;
   ir::Module Low;
   CompileOptions Opts;
   std::string Name;
   std::vector<PassTiming> Timings;
+  /// Native engine: the instance descriptors, and the shared object once a
+  /// load has succeeded. Lib is published with a release store after the
+  /// first load under LoadMu, so a warm instantiate() is one acquire load
+  /// plus ddr_create. A failed load leaves Lib null and the next call
+  /// retries it.
+  std::shared_ptr<const codegen::NativeDescs> Descs;
+  std::mutex LoadMu;
+  std::atomic<const codegen::LoadedLib *> Lib{nullptr};
 };
 
 CompiledProgram::CompiledProgram(ir::Module Mid, ir::Module Low,
@@ -39,6 +42,8 @@ CompiledProgram::CompiledProgram(ir::Module Mid, ir::Module Low,
   P->Opts = std::move(Opts);
   P->Name = P->Mid.Name;
   P->Timings = std::move(Timings);
+  if (P->Opts.Eng == Engine::Native)
+    P->Descs = codegen::nativeDescs(P->Low);
 }
 
 CompiledProgram::~CompiledProgram() = default;
@@ -63,7 +68,21 @@ CompiledProgram::instantiate() const {
     ir::Module Copy = P->Mid;
     return interp::makeInstance(std::move(Copy));
   }
-  return codegen::loadNative(P->Low, P->Opts, P->Name);
+  const codegen::LoadedLib *Lib = P->Lib.load(std::memory_order_acquire);
+  if (!Lib) {
+    std::lock_guard<std::mutex> G(P->LoadMu);
+    Lib = P->Lib.load(std::memory_order_relaxed);
+    if (!Lib) {
+      Result<const codegen::LoadedLib *> L =
+          codegen::loadNativeLib(P->Low, P->Opts, P->Name);
+      if (!L.isOk())
+        return Result<std::unique_ptr<rt::ProgramInstance>>::error(
+            L.message());
+      Lib = *L;
+      P->Lib.store(Lib, std::memory_order_release);
+    }
+  }
+  return codegen::makeNativeInstance(*Lib, P->Descs);
 }
 
 Result<CompiledProgram> compileString(const std::string &Source,

@@ -80,8 +80,10 @@ struct CompileOptions {
   uint64_t CacheMaxBytes = 0;
 };
 
-/// A compiled program, ready to instantiate. Cheap to copy-instantiate many
-/// times; the native shared object is built once on first use.
+/// A compiled program, ready to instantiate. Cheap to instantiate many
+/// times: the native shared object is emitted, built or found, and loaded
+/// on the first successful instantiate(), and each later one only creates
+/// the instance.
 class CompiledProgram {
 public:
   CompiledProgram(ir::Module Mid, ir::Module Low, CompileOptions Opts,
@@ -103,8 +105,8 @@ public:
   /// Create a fresh instance (own inputs, strands, outputs). Const and
   /// thread-safe: the serve daemon holds one shared_ptr<const
   /// CompiledProgram> per cached program and instantiates from several job
-  /// workers at once (the native loader serializes the underlying .so
-  /// compile internally; see codegen/cache.h).
+  /// workers at once. Concurrent first calls load the .so once; a failed
+  /// load is reported to its caller and retried by the next call.
   Result<std::unique_ptr<rt::ProgramInstance>> instantiate() const;
 
   /// Per-pass wall time and instruction-count deltas for this compile.

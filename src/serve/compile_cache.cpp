@@ -52,21 +52,45 @@ ProgramRegistry::getOrCompile(const std::string &Source,
                               const std::string &Name) {
   Lookup L;
   L.Key = codegen::programCacheKey(Source, Opts).hex();
+  auto Find = [&] {
+    auto It = Programs.find(L.Key);
+    if (It == Programs.end())
+      return false;
+    Hits.fetch_add(1, std::memory_order_relaxed);
+    L.Prog = It->second;
+    L.Cached = true;
+    return true;
+  };
+  std::shared_ptr<std::mutex> Build;
   {
     std::lock_guard<std::mutex> G(Mu);
-    auto It = Programs.find(L.Key);
-    if (It != Programs.end()) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      L.Prog = It->second;
-      L.Cached = true;
+    if (Find())
       return L;
-    }
+    std::shared_ptr<std::mutex> &Slot = Building[L.Key];
+    if (!Slot)
+      Slot = std::make_shared<std::mutex>();
+    Build = Slot;
+  }
+  // Singleflight: concurrent first lookups of one program compile it once;
+  // the others wait here and then find it. Different programs compile in
+  // parallel.
+  std::lock_guard<std::mutex> BG(*Build);
+  {
+    std::lock_guard<std::mutex> G(Mu);
+    if (Find())
+      return L;
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
   auto T0 = std::chrono::steady_clock::now();
   Result<CompiledProgram> C = compileString(Source, Opts, Name);
-  if (!C.isOk())
+  if (!C.isOk()) {
+    // Failures are not cached: each waiter tries, and counts, its own
+    // compile. Dropping the slot keeps programs that never compile from
+    // piling up build mutexes.
+    std::lock_guard<std::mutex> G(Mu);
+    Building.erase(L.Key);
     return Result<Lookup>::error(C.message());
+  }
   L.CompileNs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - T0)
@@ -74,8 +98,9 @@ ProgramRegistry::getOrCompile(const std::string &Source,
   auto Fresh = std::make_shared<const CompiledProgram>(C.take());
   std::lock_guard<std::mutex> G(Mu);
   auto [It, Inserted] = Programs.emplace(L.Key, std::move(Fresh));
-  (void)Inserted; // a racing miss may have beaten us; serve the winner
+  (void)Inserted; // a compile racing a failed one may have won; serve it
   L.Prog = It->second;
+  Building.erase(L.Key);
   return L;
 }
 

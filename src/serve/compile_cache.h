@@ -65,9 +65,8 @@ std::vector<CacheEntry> readCacheIndex(const std::string &Dir);
 
 /// In-process registry of compiled programs, keyed by source content.
 /// Thread-safe; lookups are a mutex-guarded map probe, compiles happen
-/// outside the lock (two racing misses may both compile — the loser's
-/// result is discarded, and the expensive .so build below is already
-/// singleflighted by the loader).
+/// outside that lock under a per-key build mutex, so concurrent first
+/// lookups of one program compile it once and count one miss.
 class ProgramRegistry {
 public:
   explicit ProgramRegistry(CompileOptions Opts) : Opts(std::move(Opts)) {}
@@ -95,6 +94,8 @@ private:
   CompileOptions Opts;
   mutable std::mutex Mu;
   std::map<std::string, std::shared_ptr<const CompiledProgram>> Programs;
+  /// One build mutex per key being compiled right now.
+  std::map<std::string, std::shared_ptr<std::mutex>> Building;
   std::atomic<uint64_t> Hits{0}, Misses{0};
 };
 

@@ -65,9 +65,11 @@
 #ifndef DIDEROT_SERVE_DAEMON_H
 #define DIDEROT_SERVE_DAEMON_H
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "driver/driver.h"
 #include "support/result.h"
@@ -77,13 +79,18 @@ namespace diderot::serve {
 struct DaemonOptions {
   int Port = 0;          ///< 0 = pick an ephemeral port (see Daemon::port())
   int HttpThreads = 4;   ///< HTTP connection handler threads
-  int JobWorkers = 2;    ///< job-queue worker threads
+  /// Job-queue worker threads: one per core by default. Jobs are the unit
+  /// of parallelism; each runs its strands on its own worker thread.
+  int JobWorkers = static_cast<int>(
+      std::max(1u, std::thread::hardware_concurrency()));
   int QueueCapacity = 64;
-  int RunWorkers = 1;        ///< strand workers per job run
-  /// Default parallel scheduler for job runs (bsp or pooled); requests
-  /// override per job with X-Diderot-Scheduler. Pooled reuses the parked
-  /// StrandPool threads across runs instead of re-spawning a thread set
-  /// per /run job (docs/SCHEDULING.md).
+  /// Strand workers per job run. 0 runs the strands sequentially on the job
+  /// worker itself, with no thread spawned and no barrier per superstep.
+  int RunWorkers = 0;
+  /// Default parallel scheduler for job runs with RunWorkers >= 1 (bsp or
+  /// pooled); requests override per job with X-Diderot-Scheduler. Pooled
+  /// reuses the parked StrandPool threads across runs instead of
+  /// re-spawning a thread set per /run job (docs/SCHEDULING.md).
   rt::Scheduler RunScheduler = rt::Scheduler::Bsp;
   int MaxSupersteps = 10000; ///< per-job superstep cap
   /// Deadline applied to jobs that do not send X-Diderot-Deadline-Ms

@@ -36,13 +36,16 @@ options:
                       bound port is printed to stderr)
   --port-file FILE    also write the bound port to FILE (for scripts that
                       start the daemon with --port 0)
-  --job-workers N     job-queue worker threads (default 2)
-  --run-workers N     strand workers per job run (default 1)
-  --scheduler S       default parallel scheduler for job runs: bsp (fresh
-                      threads per run, the paper's model) or pooled
-                      (persistent work-stealing strand pool; see
-                      docs/SCHEDULING.md). Clients override per request
-                      with X-Diderot-Scheduler. (default bsp)
+  --job-workers N     job-queue worker threads, i.e. jobs run at once
+                      (default: one per core)
+  --run-workers N     strand worker threads per job run; 0 runs a job's
+                      strands on its job worker (default 0)
+  --scheduler S       default parallel scheduler for job runs with
+                      --run-workers >= 1: bsp (fresh threads per run, the
+                      paper's model) or pooled (persistent work-stealing
+                      strand pool; see docs/SCHEDULING.md). Clients
+                      override per request with X-Diderot-Scheduler.
+                      (default bsp)
   --queue-cap N       max queued jobs; beyond it POST /run gets 429
                       (default 64)
   --steps N           per-job superstep cap (default 10000)

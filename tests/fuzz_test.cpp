@@ -190,6 +190,11 @@ struct NrrdCase {
   const char *Contents;
 };
 
+/// Print a case by its name. gtest's default would dump the struct's bytes,
+/// i.e. the load addresses of the two strings, into the listed test names,
+/// so the names ctest discovers would change from one build to the next.
+void PrintTo(const NrrdCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class NrrdMalformed : public ::testing::TestWithParam<NrrdCase> {};
 
 TEST_P(NrrdMalformed, ParseRejectsWithoutCrashing) {

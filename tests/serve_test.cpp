@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -227,6 +228,107 @@ TEST(ProgramRegistry, CompileErrorsPropagate) {
   serve::ProgramRegistry Reg(CO);
   auto L = Reg.getOrCompile("strand S { not diderot", "broken");
   EXPECT_FALSE(L.isOk());
+}
+
+TEST(ProgramRegistry, ConcurrentFirstLookupsCompileOnce) {
+  CompileOptions CO;
+  CO.Eng = Engine::Interp;
+  serve::ProgramRegistry Reg(CO);
+  constexpr int N = 8;
+  std::latch Go(N);
+  std::vector<std::shared_ptr<const CompiledProgram>> Got(N);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < N; ++T)
+    Threads.emplace_back([&, T] {
+      Go.arrive_and_wait();
+      auto L = Reg.getOrCompile(ProgA, "a");
+      ASSERT_TRUE(L.isOk()) << L.message();
+      Got[T] = L->Prog;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Reg.misses(), 1u);
+  EXPECT_EQ(Reg.hits(), static_cast<uint64_t>(N - 1));
+  for (const auto &P : Got)
+    EXPECT_EQ(P.get(), Got[0].get());
+}
+
+//===----------------------------------------------------------------------===//
+// Warm instantiate: the shared object is resolved once per CompiledProgram.
+// These use the host compiler but run the generated code sequentially, so
+// they stay in the serve_tsan run, which checks the load memo.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A native program whose artifacts persist across runs of this suite, so
+/// only the first run pays the host compile.
+Result<CompiledProgram> compileWarmProgram() {
+  CompileOptions CO;
+  CO.Eng = Engine::Native;
+  CO.WorkDir = (std::filesystem::temp_directory_path() /
+                "diderot-serve-test-warm-instantiate")
+                   .string();
+  return compileString(ProgA, CO, "warm");
+}
+
+/// Load-path counters: each resolution of a shared object bumps one.
+uint64_t nativeLoads() {
+  codegen::NativeCacheStats S = codegen::nativeCacheStats();
+  return S.MemHits + S.DiskHits + S.HostCompiles;
+}
+
+std::vector<double> runToOutput(rt::ProgramInstance &I) {
+  std::vector<double> Out;
+  EXPECT_TRUE(I.setInputReal("bias", 0.5).isOk());
+  EXPECT_TRUE(I.initialize().isOk());
+  EXPECT_TRUE(I.run(100, 0).isOk());
+  EXPECT_TRUE(I.getOutput("v", Out).isOk());
+  return Out;
+}
+
+} // namespace
+
+TEST(WarmInstantiate, LaterInstancesSkipTheLoader) {
+  Result<CompiledProgram> CP = compileWarmProgram();
+  ASSERT_TRUE(CP.isOk()) << CP.message();
+  Result<std::unique_ptr<rt::ProgramInstance>> First = CP->instantiate();
+  ASSERT_TRUE(First.isOk()) << First.message();
+  std::vector<double> Want = runToOutput(**First);
+  ASSERT_EQ(Want.size(), 8u);
+  codegen::NativeCacheStats Before = codegen::nativeCacheStats();
+  for (int R = 0; R < 100; ++R) {
+    Result<std::unique_ptr<rt::ProgramInstance>> I = CP->instantiate();
+    ASSERT_TRUE(I.isOk()) << I.message();
+    ASSERT_EQ(runToOutput(**I), Want) << "instance " << R;
+  }
+  codegen::NativeCacheStats After = codegen::nativeCacheStats();
+  EXPECT_EQ(After.MemHits, Before.MemHits);
+  EXPECT_EQ(After.DiskHits, Before.DiskHits);
+  EXPECT_EQ(After.HostCompiles, Before.HostCompiles);
+}
+
+TEST(WarmInstantiate, ConcurrentFirstInstantiatesLoadOnce) {
+  Result<CompiledProgram> CP = compileWarmProgram();
+  ASSERT_TRUE(CP.isOk()) << CP.message();
+  uint64_t LoadsBefore = nativeLoads();
+  constexpr int N = 8;
+  std::latch Go(N);
+  std::vector<std::vector<double>> Outs(N);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < N; ++T)
+    Threads.emplace_back([&, T] {
+      Go.arrive_and_wait();
+      Result<std::unique_ptr<rt::ProgramInstance>> I = CP->instantiate();
+      ASSERT_TRUE(I.isOk()) << I.message();
+      Outs[T] = runToOutput(**I);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(nativeLoads() - LoadsBefore, 1u);
+  ASSERT_EQ(Outs[0].size(), 8u);
+  for (const std::vector<double> &O : Outs)
+    EXPECT_EQ(O, Outs[0]);
 }
 
 //===----------------------------------------------------------------------===//

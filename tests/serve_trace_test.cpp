@@ -16,6 +16,7 @@
 
 #include "serve/daemon.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -309,6 +310,7 @@ TEST(ServeTrace, MergedTraceHoldsRecentJobs) {
 
 TEST(ServeTrace, HealthzReportsReadiness) {
   serve::DaemonOptions O = interpOptions(tempDir("healthz"));
+  O.JobWorkers = 2;
   serve::Daemon D;
   ASSERT_TRUE(D.start(O).isOk());
   Reply H = httpDo(D.port(), "GET", "/healthz");
@@ -318,6 +320,15 @@ TEST(ServeTrace, HealthzReportsReadiness) {
   EXPECT_EQ(jsonField(H.Body, "jobWorkers"), "2");
   EXPECT_FALSE(jsonField(H.Body, "uptimeMs").empty());
   D.stop();
+
+  // By default there is one job worker per core.
+  serve::Daemon Dflt;
+  ASSERT_TRUE(Dflt.start(interpOptions(tempDir("healthz-default"))).isOk());
+  Reply HD = httpDo(Dflt.port(), "GET", "/healthz");
+  ASSERT_EQ(HD.Code, 200) << HD.Raw;
+  EXPECT_EQ(jsonField(HD.Body, "jobWorkers"),
+            std::to_string(std::max(1u, std::thread::hardware_concurrency())));
+  Dflt.stop();
 }
 
 TEST(ServeTrace, MetricsCarryTraceIdExemplars) {
