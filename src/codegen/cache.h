@@ -9,7 +9,8 @@
 /// cache directory can be shared across processes and daemon restarts
 /// ("compile once, serve many"). The key is a 128-bit FNV-1a hash over the
 /// program text, the compile options that change the generated code or its
-/// binary, the ddr_* runtime ABI version, and the host compiler identity —
+/// binary, the ddr_* runtime ABI version, the runtime headers the generated
+/// code includes, and the host compiler identity —
 /// replacing the earlier std::hash<std::string> size_t key, which had no
 /// collision guarantee, was unstable across standard libraries, and omitted
 /// ABI and compiler identity entirely.
@@ -31,9 +32,10 @@
 /// written by pre-v2 builds have only the first four columns; they parse
 /// with SoBytes = -1 and are loaded unverified, exactly as before.
 ///
-/// Invalidation is by key, never in place: a new ABI revision, compiler, or
-/// flag set hashes to new file names and old entries simply go cold (or are
-/// LRU-evicted once a --cache-max-bytes cap is set).
+/// Invalidation is by key, never in place: a new ABI revision, runtime
+/// header edit, compiler, or flag set hashes to new file names and old
+/// entries simply go cold (or are LRU-evicted once a --cache-max-bytes cap
+/// is set).
 /// serve/compile_cache.h reads the index.
 ///
 //===----------------------------------------------------------------------===//
@@ -67,13 +69,29 @@ constexpr int DdrAbiVersion = 7;
 /// a warm cache surviving it), not a different artifact identity.
 std::string hostCompilerId();
 
+/// The runtime headers every generated translation unit compiles against:
+/// the `#include "..."` closure of runtime/native_prelude.h under the
+/// source root \p SrcDir (the host compiler's -I), as sorted paths
+/// relative to \p SrcDir.
+std::vector<std::string> runtimeHeaderClosure(const std::string &SrcDir);
+
+/// Digest of the paths and bytes of runtimeHeaderClosure(\p SrcDir). The
+/// generated C++ text only names the prelude, so without this an edited
+/// runtime header would keep serving objects built from the old one.
+support::Hash128 runtimeHeaderDigest(const std::string &SrcDir);
+
 /// The cache key for \p Text compiled under \p Opts. \p Text is whatever
 /// feeds the next stage: the native loader keys on the generated C++
 /// translation unit; the serve daemon keys its program registry on Diderot
 /// source. Both incorporate every CompileOptions field that changes the
-/// result, plus DdrAbiVersion and hostCompilerId().
+/// result, plus DdrAbiVersion, hostCompilerId() and the runtime header
+/// digest (computed once per process from the configured source root).
 support::Hash128 programCacheKey(const std::string &Text,
                                  const CompileOptions &Opts);
+/// As above with an explicit runtime header digest.
+support::Hash128 programCacheKey(const std::string &Text,
+                                 const CompileOptions &Opts,
+                                 const support::Hash128 &RuntimeDigest);
 
 /// Name of the index file inside a cache directory.
 inline const char *cacheIndexFile() { return "index.tsv"; }

@@ -5,7 +5,8 @@
 // Section 5.1) into a shared object, dlopen it, and wrap its C ABI in the
 // rt::ProgramInstance interface. Compiled objects are content-addressed
 // (codegen/cache.h): the 128-bit key covers the generated source, the
-// compile options, the ddr_* ABI version, and the host compiler identity,
+// compile options, the ddr_* ABI version, the runtime headers the source
+// includes, and the host compiler identity,
 // so a cache directory can be shared across processes and daemon restarts
 // and a warm cache never re-invokes the host compiler.
 //
@@ -18,9 +19,11 @@
 #include <unistd.h>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include "observe/observe.h"
 #include "observe/profiler.h"
 #include "observe/recorder.h"
@@ -41,12 +44,74 @@ std::string hostCompilerId() {
   return strf(DIDEROT_HOST_CXX, " host=", __VERSION__);
 }
 
+std::vector<std::string> runtimeHeaderClosure(const std::string &SrcDir) {
+  namespace fs = std::filesystem;
+  // Resolve like the host compiler resolves a quoted include: the including
+  // file's directory first, then the -I root.
+  auto Resolve = [&](const fs::path &From, const std::string &Inc) {
+    fs::path Local = (fs::path(SrcDir) / From).parent_path() / Inc;
+    std::error_code EC;
+    if (fs::is_regular_file(Local, EC))
+      return fs::relative(Local, SrcDir, EC).generic_string();
+    return fs::path(Inc).lexically_normal().generic_string();
+  };
+  std::set<std::string> Seen = {"runtime/native_prelude.h"};
+  std::vector<std::string> Work(Seen.begin(), Seen.end());
+  while (!Work.empty()) {
+    std::string Rel = Work.back();
+    Work.pop_back();
+    std::ifstream In(fs::path(SrcDir) / Rel);
+    std::string Line;
+    while (std::getline(In, Line)) {
+      size_t P = Line.find_first_not_of(" \t");
+      if (P == std::string::npos || Line[P] != '#')
+        continue;
+      P = Line.find_first_not_of(" \t", P + 1);
+      if (P == std::string::npos || Line.compare(P, 7, "include") != 0)
+        continue;
+      size_t Open = Line.find('"', P + 7);
+      size_t Close =
+          Open == std::string::npos ? Open : Line.find('"', Open + 1);
+      if (Close == std::string::npos)
+        continue;
+      std::string Dep =
+          Resolve(Rel, Line.substr(Open + 1, Close - Open - 1));
+      if (Seen.insert(Dep).second)
+        Work.push_back(Dep);
+    }
+  }
+  return {Seen.begin(), Seen.end()};
+}
+
+support::Hash128 runtimeHeaderDigest(const std::string &SrcDir) {
+  support::Fnv128 H;
+  for (const std::string &Rel : runtimeHeaderClosure(SrcDir)) {
+    std::ifstream In(std::filesystem::path(SrcDir) / Rel, std::ios::binary);
+    std::string Text((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    H.updateField(Rel);
+    // A missing header hashes differently from an empty one.
+    H.updateField(In ? static_cast<int64_t>(Text.size()) : int64_t{-1});
+    H.update(Text);
+  }
+  return H.digest();
+}
+
 support::Hash128 programCacheKey(const std::string &Text,
                                  const CompileOptions &Opts) {
+  // Read once per process: the headers the host compiler will see.
+  static const support::Hash128 Runtime = runtimeHeaderDigest(DIDEROT_SRC_DIR);
+  return programCacheKey(Text, Opts, Runtime);
+}
+
+support::Hash128 programCacheKey(const std::string &Text,
+                                 const CompileOptions &Opts,
+                                 const support::Hash128 &RuntimeDigest) {
   support::Fnv128 H;
   H.updateField("ddr-abi");
   H.updateField(static_cast<int64_t>(DdrAbiVersion));
   H.updateField(hostCompilerId());
+  H.updateField(RuntimeDigest.hex());
   H.updateField(static_cast<int64_t>(Opts.Eng == Engine::Interp ? 0 : 1));
   H.updateField(static_cast<int64_t>(Opts.DoublePrecision ? 1 : 0));
   H.updateField(static_cast<int64_t>(Opts.EnableContract ? 1 : 0));

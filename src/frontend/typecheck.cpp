@@ -854,6 +854,10 @@ Type Checker::checkUnary(Expr &E) {
     if (A.diff() <= 0)
       return err(E.Loc, strf("∇⊗ requires a differentiable field; ", A.str(),
                              " has no continuous derivatives"));
+    // As for ∇, a 1-D derivative appends no axis (there is no extent-1
+    // axis); probe expansion builds the same shape.
+    if (A.dim() == 1)
+      return Type::field(A.diff() - 1, 1, A.shape());
     return Type::field(A.diff() - 1, A.dim(), A.shape().append(A.dim()));
   case UnaryOp::Divergence:
     // §8.3 extension: ∇• : field#k(d)[d] -> field#(k-1)(d)[], k > 0.

@@ -10,8 +10,15 @@
 //   xi   = M^{-1} x                       (WorldToImage)
 //   n_a  = floor(xi_a),  f_a = xi_a - n_a  per axis
 //   w[a][l][t] = h^(l)(f_a - t)           (KernelWeight per axis/level/tap)
-//   for every range component c and derivative multi-index mu:
-//     sum over support taps of V[n + t][c] * prod_a w[a][cnt_a(mu)][t_a]
+//   for every range component c and derivative multi-index mu, the
+//   separable sum contracted one axis at a time (3-D shown):
+//     r0[t1][t2] = sum_t0 V[n + t][c] * w[0][cnt_0(mu)][t0]
+//     r1[t2]     = sum_t1 r0[t1][t2]  * w[1][cnt_1(mu)][t1]
+//     result     = sum_t2 r1[t2]      * w[2][cnt_2(mu)][t2]
+//   which equals the tensor-product sum over all (2s)^d taps of
+//   V[n + t][c] * prod_a w[a][cnt_a(mu)][t_a] with (2s)^d + ... + 2s
+//   multiplies instead of d (2s)^d; partial sums with equal leading
+//   derivative counts are identical expressions that value numbering shares.
 //   covariant correction: each derivative axis is transformed to world space
 //   by M^{-T} (ImageGradXform), gradients being covariant quantities.
 //
@@ -139,7 +146,14 @@ private:
                    Type::real(), ir::KernelWeightAttr{C.Kernel, L, Off});
         }
 
-    // Convolution sums, one per (component, derivative multi-index).
+    // Convolution sums, one per (component, derivative multi-index),
+    // contracted one axis at a time. The support is loaded once per
+    // component, axis 0 fastest, so each run of Taps consecutive entries is
+    // one row along the axis being contracted; contracting a row leaves the
+    // next axis fastest. Every partial sum is emitted with the same operands
+    // in the same order, so value numbering shares it across all mu with the
+    // same leading per-axis derivative counts (F, ∇F and ∇⊗∇F at one
+    // position share every axis-0 row of the undifferentiated weights).
     int NComp = BaseShape.numComponents();
     int NMu = 1;
     for (int I = 0; I < M; ++I)
@@ -149,7 +163,22 @@ private:
     int NTuples = 1;
     for (int A = 0; A < D; ++A)
       NTuples *= Taps;
+    std::vector<ValueId> VoxOps = {Img};
+    for (ValueId B : BaseIdx)
+      VoxOps.push_back(B);
     for (int Cc = 0; Cc < NComp; ++Cc) {
+      std::vector<ValueId> Support;
+      Support.reserve(static_cast<size_t>(NTuples));
+      for (int Tuple = 0; Tuple < NTuples; ++Tuple) {
+        std::vector<int> Offsets(static_cast<size_t>(D));
+        int TRem = Tuple;
+        for (int A = 0; A < D; ++A) {
+          Offsets[static_cast<size_t>(A)] = (TRem % Taps) + 1 - S;
+          TRem /= Taps;
+        }
+        Support.push_back(emit(Out, Op::VoxelLoad, VoxOps, Type::real(),
+                               ir::VoxelAttr{Offsets, Cc}));
+      }
       for (int Mu = 0; Mu < NMu; ++Mu) {
         // Per-axis derivative counts from the multi-index.
         int Cnt[3] = {0, 0, 0};
@@ -161,31 +190,25 @@ private:
         // NOTE: the multi-index digits enumerate mu in "last axis fastest"
         // order; since only the per-axis counts matter for the weights, the
         // ordering convention only needs to match the TensorCons below.
-        ValueId Acc = ir::NoValue;
-        for (int Tuple = 0; Tuple < NTuples; ++Tuple) {
-          std::vector<int> Offsets(static_cast<size_t>(D));
-          int TRem = Tuple;
-          for (int A = 0; A < D; ++A) {
-            Offsets[static_cast<size_t>(A)] = (TRem % Taps) + 1 - S;
-            TRem /= Taps;
+        std::vector<ValueId> Part = Support;
+        for (int A = 0; A < D; ++A) {
+          std::vector<ValueId> Rows;
+          for (size_t Row = 0; Row < Part.size(); Row += Taps) {
+            ValueId Acc = ir::NoValue;
+            for (int T = 0; T < Taps; ++T) {
+              ValueId P = emit(Out, Op::Mul,
+                               {Part[Row + static_cast<size_t>(T)],
+                                W[static_cast<size_t>(WIdx(A, Cnt[A], T))]},
+                               Type::real());
+              Acc = Acc == ir::NoValue
+                        ? P
+                        : emit(Out, Op::Add, {Acc, P}, Type::real());
+            }
+            Rows.push_back(Acc);
           }
-          std::vector<ValueId> VoxOps = {Img};
-          for (ValueId B : BaseIdx)
-            VoxOps.push_back(B);
-          ValueId V = emit(Out, Op::VoxelLoad, VoxOps, Type::real(),
-                           ir::VoxelAttr{Offsets, Cc});
-          ValueId P = V;
-          for (int A = 0; A < D; ++A) {
-            int T = Offsets[static_cast<size_t>(A)] + S - 1;
-            P = emit(Out, Op::Mul,
-                     {P, W[static_cast<size_t>(WIdx(A, Cnt[A], T))]},
-                     Type::real());
-          }
-          Acc = Acc == ir::NoValue
-                    ? P
-                    : emit(Out, Op::Add, {Acc, P}, Type::real());
+          Part = std::move(Rows);
         }
-        Comps.push_back(Acc);
+        Comps.push_back(Part[0]);
       }
     }
 
@@ -209,7 +232,9 @@ private:
         // ImageGradXform of a 1-D image is the scalar 1/spacing.
         ValueId Mt = emit(Out, Op::ImageGradXform, {Img}, Type::real());
         for (int I = 0; I < M; ++I)
-          Res = emit(Out, Op::Mul, {Res, Mt}, Type::real());
+          Res = ResShape.isScalar()
+                    ? emit(Out, Op::Mul, {Res, Mt}, Type::real())
+                    : emit(Out, Op::Scale, {Mt, Res}, Type::tensor(ResShape));
       } else {
         ValueId Mt =
             emit(Out, Op::ImageGradXform, {Img}, Type::tensor(Shape{D, D}));

@@ -3,7 +3,9 @@
 # port, compile the same program twice (the second must be a cache hit), run
 # it, poll the job, fetch the NRRD output and its request trace, scrape
 # /metrics — then restart the daemon on the same cache dir and prove the
-# warm-up compile is served from disk without a host-compiler invocation.
+# warm-up compile is served from disk without a host-compiler invocation,
+# and that after an edit to a runtime header the generated code includes
+# the same program is compiled afresh instead of served stale from disk.
 # Run by CI (daemon-smoke job) and runnable locally:
 #
 #   tests/daemon_smoke.sh build/src/serve/diderotd tests/cli_isocontour.diderot
@@ -17,6 +19,10 @@ DIDEROTD=${1:?usage: daemon_smoke.sh <diderotd> <program.diderot>}
 PROGRAM=${2:?usage: daemon_smoke.sh <diderotd> <program.diderot>}
 TRACE_ARTIFACT=${TRACE_ARTIFACT:-}
 
+# A header in the native prelude's include closure (the daemon resolves it
+# from the source tree it was configured from: this checkout).
+RUNTIME_HEADER="$(cd "$(dirname "$0")/.." && pwd)/src/runtime/scheduler.h"
+
 WORK=$(mktemp -d)
 CACHE="$WORK/cache"
 PORTFILE="$WORK/port"
@@ -24,6 +30,8 @@ DPID=""
 cleanup() {
   [ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
   wait 2>/dev/null || true
+  # Restore the runtime header (contents and mtime) if step 5 edited it.
+  [ -f "$WORK/header.orig" ] && cp -p "$WORK/header.orig" "$RUNTIME_HEADER"
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -136,5 +144,24 @@ echo "$METRICS" | grep -q '^diderot_daemon_native_disk_hits_total [1-9]' ||
   fail "restart warm-up was not served from the disk cache"
 echo "$METRICS" | grep -q '^diderot_daemon_native_host_compiles_total 0' ||
   fail "restart warm-up invoked the host compiler"
+
+# 5. Append a comment to a runtime header and restart on the same cache:
+# the cache key covers the prelude's include closure, so the warm-up must
+# be a host compile, not a disk hit of the object built from the old header.
+stop_daemon
+cp -p "$RUNTIME_HEADER" "$WORK/header.orig"
+echo "// daemon_smoke: runtime header edit" >> "$RUNTIME_HEADER"
+start_daemon
+R4=$(post /compile)
+echo "daemon_smoke: compile after runtime header edit: $R4"
+echo "$R4" | grep -q '"cached":false' || fail "registry unexpectedly warm after restart"
+METRICS=$(curl -sS "http://127.0.0.1:$PORT/metrics")
+echo "$METRICS" | grep -q '^diderot_daemon_native_host_compiles_total 1' ||
+  fail "runtime header edit did not force a host compile"
+echo "$METRICS" | grep -q '^diderot_daemon_native_disk_hits_total 0' ||
+  fail "runtime header edit was served a stale object from the disk cache"
+stop_daemon
+cp -p "$WORK/header.orig" "$RUNTIME_HEADER"
+rm -f "$WORK/header.orig"
 
 echo "daemon_smoke: PASS"

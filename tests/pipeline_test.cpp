@@ -223,8 +223,9 @@ TEST(Pipeline, GradientProbeTransformsToWorldSpace) {
   EXPECT_EQ(ir::countOps(M.Update, ir::Op::ImageGradXform), 1);
   // Two derivative levels (h, h') per axis: 24 kernel weights.
   EXPECT_EQ(ir::countOps(M.Update, ir::Op::KernelWeight), 24);
-  // One set of loads per gradient component: 3 * 64.
-  EXPECT_EQ(ir::countOps(M.Update, ir::Op::VoxelLoad), 192);
+  // The support is loaded once and contracted for each of the three
+  // gradient components.
+  EXPECT_EQ(ir::countOps(M.Update, ir::Op::VoxelLoad), 64);
 }
 
 TEST(Pipeline, InsideBecomesBoundsTests) {
@@ -248,10 +249,10 @@ TEST(Pipeline, ValueNumberingSharesConvolutionsOfValueAndGradient) {
       "vec3 p = [0.1,0.2,0.3]; out = F(p) + |∇F(p)|;");
   ir::Module Plain = toMid(Src, /*Optimize=*/false);
   ir::Module Opt = toMid(Src, /*Optimize=*/true);
-  // Unoptimized: F probe loads 64 voxels, gradient loads 3*64 = 192.
-  EXPECT_EQ(ir::countOps(Plain.Update, ir::Op::VoxelLoad), 256);
-  // The loads are shared after VN (they only differ in their weights):
-  // 64 unique loads remain.
+  // Unoptimized: the F probe and the gradient probe each load the 64-voxel
+  // support once.
+  EXPECT_EQ(ir::countOps(Plain.Update, ir::Op::VoxelLoad), 128);
+  // The loads are shared after VN: 64 unique loads remain.
   EXPECT_EQ(ir::countOps(Opt.Update, ir::Op::VoxelLoad), 64);
   // Weight evaluations shared too: h and h' per axis = 24 unique.
   EXPECT_EQ(ir::countOps(Opt.Update, ir::Op::KernelWeight), 24);
@@ -274,6 +275,42 @@ TEST(Pipeline, ValueNumberingExploitsHessianSymmetry) {
   EXPECT_GT(PlainAdds, OptAdds);
   EXPECT_LE(OptAdds * 3, PlainAdds * 2 + 64) << "expected ~6/9 of the sums";
   EXPECT_EQ(ir::countOps(Opt.Update, ir::Op::VoxelLoad), 64);
+}
+
+TEST(Pipeline, SeparableContractionSharesRowSumsOfValueAndGradient) {
+  // Each probe sum is contracted one axis at a time: per mu, 16 axis-0 rows
+  // of 4 taps, 4 axis-1 rows, one axis-2 row = 84 Mul + 63 Add. Plain F+∇F
+  // is 4 such sums. After VN the axis-0 rows exist once per derivative
+  // level of axis 0 (h, h': 2 x 16 rows), the axis-1 rows once per
+  // (cnt_0, cnt_1) in {(0,0), (1,0), (0,1)}, and the 4 axis-2 sums are
+  // distinct: 128 + 48 + 16 = 192 Mul, 96 + 36 + 12 = 144 Add (the
+  // tensor-product form needed 576 Mul + 252 Add after VN).
+  std::string Src = probeProgram(
+      "field#2(3)[] F = img ⊛ bspln3;\n",
+      "vec3 p = [0.1,0.2,0.3]; out = F(p) + |∇F(p)|;");
+  ir::Module Plain = toMid(Src, /*Optimize=*/false);
+  ir::Module Opt = toMid(Src, /*Optimize=*/true);
+  EXPECT_EQ(ir::countOps(Plain.Update, ir::Op::Mul), 4 * 84);
+  EXPECT_EQ(ir::countOps(Plain.Update, ir::Op::Add), 4 * 63 + 1);
+  EXPECT_EQ(ir::countOps(Opt.Update, ir::Op::Mul), 192);
+  EXPECT_EQ(ir::countOps(Opt.Update, ir::Op::Add), 144 + 1);
+}
+
+TEST(Pipeline, SeparableContractionSharesHessianPartialSums) {
+  // ∇⊗∇F: 9 sums of 84 Mul + 63 Add before VN. After VN the axis-0 rows
+  // exist once per cnt_0 in {0,1,2} (3 x 16 rows), the axis-1 rows once per
+  // (cnt_0, cnt_1) with cnt_0 + cnt_1 <= 2 (6 x 4 rows), and the symmetric
+  // H[i][j] = H[j][i] leave 6 axis-2 sums: 192 + 96 + 24 = 312 Mul,
+  // 144 + 72 + 18 = 234 Add (tensor-product form: 960 Mul + 378 Add).
+  std::string Src = probeProgram(
+      "field#2(3)[] F = img ⊛ bspln3;\n",
+      "tensor[3,3] H = ∇⊗∇F([0.1,0.2,0.3]); out = |H|;");
+  ir::Module Plain = toMid(Src, false);
+  ir::Module Opt = toMid(Src, true);
+  EXPECT_EQ(ir::countOps(Plain.Update, ir::Op::Mul), 9 * 84);
+  EXPECT_EQ(ir::countOps(Plain.Update, ir::Op::Add), 9 * 63);
+  EXPECT_EQ(ir::countOps(Opt.Update, ir::Op::Mul), 312);
+  EXPECT_EQ(ir::countOps(Opt.Update, ir::Op::Add), 234);
 }
 
 TEST(Pipeline, ConstantProbePositionDoesNotFoldThroughOrientation) {

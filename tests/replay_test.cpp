@@ -10,9 +10,11 @@
 //===----------------------------------------------------------------------===//
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +34,7 @@
 #include "observe/replay.h"
 #include "serve/daemon.h"
 #include "support/tarball.h"
+#include "synth/synth.h"
 
 namespace diderot {
 namespace {
@@ -53,6 +56,68 @@ strand S (int i) {
 initially [ S(i) | i in 0 .. 7 ];
 )";
 
+/// Probe programs for the digest oracle: each update probes a field at a
+/// position that moves with the probed values, so a one-ulp difference in
+/// any convolution sum reaches the state. Value, gradient and Hessian of a
+/// 3-D bspln3 scalar field inside an `inside` guard; the outermost strands
+/// start outside the domain and die.
+const char *Probe3dProgram = R"(
+input image(3)[] img;
+field#2(3)[] F = img ⊛ bspln3;
+strand S (int i) {
+  vec3 p = [-0.9 + 0.17*real(i), 0.35 - 0.06*real(i), -0.2 + 0.04*real(i)];
+  int it = 0;
+  output real y = 0.0;
+  update {
+    if (inside(p, F)) {
+      tensor[3,3] H = ∇⊗∇F(p);
+      vec3 g = ∇F(p);
+      y += F(p) + 0.1*|g| + 0.01*trace(H);
+      p += 0.05*g/(|g| + 1.0) + 0.001*(H•g);
+    } else {
+      die;
+    }
+    it += 1;
+    if (it == 6) stabilize;
+  }
+}
+initially [ S(i) | i in 0 .. 11 ];
+)";
+
+/// A 2-D vec2 field reconstructed with ctmr: value and Jacobian.
+const char *Probe2dVecProgram = R"(
+input image(2)[2] img;
+field#1(2)[2] V = img ⊛ ctmr;
+strand S (int i) {
+  vec2 p = [-0.95 + 0.17*real(i), 0.5 - 0.07*real(i)];
+  int it = 0;
+  output vec2 y = [0.0, 0.0];
+  update {
+    if (inside(p, V)) {
+      tensor[2,2] J = ∇⊗V(p);
+      y += V(p) + 0.1*(J•p);
+      p += 0.05*V(p);
+    } else {
+      die;
+    }
+    it += 1;
+    if (it == 6) stabilize;
+  }
+}
+initially [ S(i) | i in 0 .. 11 ];
+)";
+
+/// The 3-D probe program's input: ctHand with a rotated, anisotropic
+/// orientation so the world-space derivative transform is non-trivial.
+Image probeVolume() {
+  Image Img = synth::ctHand(20);
+  double C = std::cos(0.3), S = std::sin(0.3), H = 2.0 / 19.0;
+  Img.setOrientation({C * H, -S * H, 0.0, S * H, C * H, 0.0, 0.0, 0.0,
+                      1.1 * H},
+                     {-1.0, -1.0, -1.0});
+  return Img;
+}
+
 std::string tempDir(const char *Tag) {
   auto P = fs::temp_directory_path() /
            (std::string("diderot-replay-test-") + Tag + "-" +
@@ -67,20 +132,25 @@ std::unique_ptr<rt::ProgramInstance> makeInstance(const CompiledProgram &CP) {
   return I.isOk() ? std::move(*I) : nullptr;
 }
 
-Result<CompiledProgram> compileWith(Engine Eng, bool DoublePrec = false) {
+Result<CompiledProgram> compileWith(Engine Eng, bool DoublePrec = false,
+                                    const char *Src = StepProgram) {
   CompileOptions Opts;
   Opts.Eng = Eng;
   Opts.DoublePrecision = DoublePrec;
-  return compileString(StepProgram, Opts, "replay_step");
+  return compileString(Src, Opts, "replay_step");
 }
 
-/// Run StepProgram once under \p RC (digests armed) and return the digest
-/// entries.
+/// Run \p CP once under \p RC (digests armed), with \p Img bound to the
+/// input `img` when given, and return the digest entries.
 std::vector<support::Hash128> digestsUnder(const CompiledProgram &CP,
-                                           rt::RunConfig RC) {
+                                           rt::RunConfig RC,
+                                           const Image *Img = nullptr) {
   std::unique_ptr<rt::ProgramInstance> I = makeInstance(CP);
   if (!I)
     return {};
+  if (Img) {
+    EXPECT_TRUE(I->setInputImage("img", *Img).isOk());
+  }
   EXPECT_TRUE(I->initialize().isOk());
   RC.CollectDigests = true;
   Result<rt::RunStats> Run = I->run(RC);
@@ -263,43 +333,72 @@ TEST(ReplayFormat, BundleDirectoryRoundTrip) {
 // Determinism across schedulers and engines (the digest contract)
 //===----------------------------------------------------------------------===//
 
+/// The digest oracle's programs: plain arithmetic, and the two probe
+/// programs with their input images.
+struct DigestCase {
+  const char *Name;
+  const char *Src;
+  std::optional<Image> Img;
+};
+
+std::vector<DigestCase> digestCases() {
+  return {{"arithmetic", StepProgram, std::nullopt},
+          {"bspln3 3-D value/gradient/Hessian", Probe3dProgram,
+           probeVolume()},
+          {"ctmr 2-D vec2 value/Jacobian", Probe2dVecProgram,
+           synth::flow2d(24)}};
+}
+
 TEST(ReplayDeterminism, SchedulersAgree) {
-  Result<CompiledProgram> CP = compileWith(Engine::Interp);
-  ASSERT_TRUE(CP.isOk()) << CP.message();
-  rt::RunConfig Seq;
-  Seq.MaxSupersteps = 100;
-  Seq.NumWorkers = 0;
-  rt::RunConfig Bsp = Seq;
-  Bsp.NumWorkers = 3;
-  Bsp.Sched = rt::Scheduler::Bsp;
-  rt::RunConfig Pooled = Seq;
-  Pooled.NumWorkers = 3;
-  Pooled.Sched = rt::Scheduler::Pooled;
-  std::vector<support::Hash128> A = digestsUnder(*CP, Seq);
-  std::vector<support::Hash128> B = digestsUnder(*CP, Bsp);
-  std::vector<support::Hash128> C = digestsUnder(*CP, Pooled);
-  ASSERT_FALSE(A.empty());
-  EXPECT_EQ(A, B) << "sequential vs bsp digest streams differ";
-  EXPECT_EQ(A, C) << "sequential vs pooled digest streams differ";
+  for (const DigestCase &DC : digestCases()) {
+    SCOPED_TRACE(DC.Name);
+    const Image *Img = DC.Img ? &*DC.Img : nullptr;
+    Result<CompiledProgram> CP = compileWith(Engine::Interp, false, DC.Src);
+    ASSERT_TRUE(CP.isOk()) << CP.message();
+    rt::RunConfig Seq;
+    Seq.MaxSupersteps = 100;
+    Seq.NumWorkers = 0;
+    rt::RunConfig Bsp = Seq;
+    Bsp.NumWorkers = 3;
+    Bsp.Sched = rt::Scheduler::Bsp;
+    rt::RunConfig Pooled = Seq;
+    Pooled.NumWorkers = 3;
+    Pooled.Sched = rt::Scheduler::Pooled;
+    std::vector<support::Hash128> A = digestsUnder(*CP, Seq, Img);
+    std::vector<support::Hash128> B = digestsUnder(*CP, Bsp, Img);
+    std::vector<support::Hash128> C = digestsUnder(*CP, Pooled, Img);
+    ASSERT_GT(A.size(), 2u);
+    EXPECT_EQ(A, B) << "sequential vs bsp digest streams differ";
+    EXPECT_EQ(A, C) << "sequential vs pooled digest streams differ";
+  }
 }
 
 TEST(ReplayDeterminism, NativeDoubleMatchesInterp) {
-  Result<CompiledProgram> CI = compileWith(Engine::Interp);
-  ASSERT_TRUE(CI.isOk()) << CI.message();
-  Result<CompiledProgram> CN = compileWith(Engine::Native, /*DoublePrec=*/true);
-  ASSERT_TRUE(CN.isOk()) << CN.message();
-  rt::RunConfig RC;
-  RC.MaxSupersteps = 100;
-  std::vector<support::Hash128> A = digestsUnder(*CI, RC);
-  std::vector<support::Hash128> B = digestsUnder(*CN, RC);
-  ASSERT_FALSE(A.empty());
-  ASSERT_FALSE(B.empty()) << "native digest capture missing (ABI < 7?)";
-  EXPECT_EQ(A, B) << "interp vs native-double digest streams differ";
-  // And across schedulers on the native side too.
-  rt::RunConfig Pooled = RC;
-  Pooled.NumWorkers = 3;
-  Pooled.Sched = rt::Scheduler::Pooled;
-  EXPECT_EQ(A, digestsUnder(*CN, Pooled));
+  for (const DigestCase &DC : digestCases()) {
+    SCOPED_TRACE(DC.Name);
+    const Image *Img = DC.Img ? &*DC.Img : nullptr;
+    Result<CompiledProgram> CI = compileWith(Engine::Interp, false, DC.Src);
+    ASSERT_TRUE(CI.isOk()) << CI.message();
+    Result<CompiledProgram> CN =
+        compileWith(Engine::Native, /*DoublePrec=*/true, DC.Src);
+    ASSERT_TRUE(CN.isOk()) << CN.message();
+    rt::RunConfig RC;
+    RC.MaxSupersteps = 100;
+    std::vector<support::Hash128> A = digestsUnder(*CI, RC, Img);
+    std::vector<support::Hash128> B = digestsUnder(*CN, RC, Img);
+    ASSERT_GT(A.size(), 2u);
+    ASSERT_FALSE(B.empty()) << "native digest capture missing (ABI < 7?)";
+    EXPECT_EQ(A, B) << "interp vs native-double digest streams differ";
+    // And across schedulers on the native side too.
+    rt::RunConfig Bsp = RC;
+    Bsp.NumWorkers = 3;
+    Bsp.Sched = rt::Scheduler::Bsp;
+    EXPECT_EQ(A, digestsUnder(*CN, Bsp, Img));
+    rt::RunConfig Pooled = RC;
+    Pooled.NumWorkers = 3;
+    Pooled.Sched = rt::Scheduler::Pooled;
+    EXPECT_EQ(A, digestsUnder(*CN, Pooled, Img));
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,11 +12,13 @@
 
 #include "serve/daemon.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <latch>
 #include <string>
 #include <thread>
@@ -373,6 +375,59 @@ TEST(CacheKey, KeyIsStableAndWellFormed) {
   ASSERT_EQ(K1.size(), 32u);
   for (char C : K1)
     EXPECT_TRUE((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f'));
+}
+
+TEST(CacheKey, RuntimeHeaderEditChangesKey) {
+  // The generated C++ only #includes the prelude, so the key must cover the
+  // prelude's include closure: a warm cache must not keep serving objects
+  // built against an edited runtime header.
+  namespace fs = std::filesystem;
+  fs::path Src = fs::path(__FILE__).parent_path().parent_path() / "src";
+  std::vector<std::string> Closure = codegen::runtimeHeaderClosure(Src);
+  for (const char *H : {"runtime/native_prelude.h", "runtime/scheduler.h",
+                        "observe/recorder.h", "observe/metrics.h",
+                        "observe/fault.h", "observe/digest.h",
+                        "observe/profiler.h", "support/hash.h",
+                        "tensor/eigen_raw.h"})
+    EXPECT_NE(std::find(Closure.begin(), Closure.end(), H), Closure.end())
+        << H << " missing from the runtime header closure";
+  CompileOptions Opts;
+  // The two-argument key hashes the configured source tree's closure.
+  EXPECT_EQ(codegen::programCacheKey("prog", Opts).hex(),
+            codegen::programCacheKey("prog", Opts,
+                                     codegen::runtimeHeaderDigest(Src))
+                .hex());
+
+  fs::path Tmp = fs::temp_directory_path() /
+                 ("diderot-runtime-closure-" + std::to_string(::getpid()));
+  for (const std::string &Rel : Closure) {
+    fs::create_directories((Tmp / Rel).parent_path());
+    fs::copy_file(Src / Rel, Tmp / Rel, fs::copy_options::overwrite_existing);
+  }
+  auto Key = [&] {
+    return codegen::programCacheKey("prog", Opts,
+                                    codegen::runtimeHeaderDigest(Tmp))
+        .hex();
+  };
+  std::string Before = Key();
+  EXPECT_EQ(Before, codegen::programCacheKey("prog", Opts).hex());
+  for (const char *Rel : {"runtime/scheduler.h", "support/hash.h"}) {
+    // Flip one byte, then restore it.
+    fs::path P = Tmp / Rel;
+    std::string Text;
+    {
+      std::ifstream In(P, std::ios::binary);
+      Text.assign(std::istreambuf_iterator<char>(In), {});
+    }
+    ASSERT_FALSE(Text.empty());
+    std::string Edited = Text;
+    Edited.back() = Edited.back() == ' ' ? '\t' : ' ';
+    std::ofstream(P, std::ios::binary | std::ios::trunc) << Edited;
+    EXPECT_NE(Key(), Before) << "one-byte edit of " << Rel;
+    std::ofstream(P, std::ios::binary | std::ios::trunc) << Text;
+    EXPECT_EQ(Key(), Before);
+  }
+  fs::remove_all(Tmp);
 }
 
 //===----------------------------------------------------------------------===//

@@ -112,6 +112,15 @@ field#0(3)[3,3] H = ∇⊗∇F;
                ""));
 }
 
+TEST(TypeCheck, OneDimensionalJacobianKeepsRangeShape) {
+  // As for ∇ in 1-D, ∇⊗ appends no axis: there is no extent-1 tensor axis.
+  checkOk(wrap(R"(
+field#1(1)[2] V = load("v.nrrd") ⊛ ctmr;
+field#0(1)[2] J = ∇⊗V;
+)",
+               "vec2 j = J(0.25);"));
+}
+
 TEST(TypeCheck, ProbeTyping) {
   checkOk(wrap("field#2(3)[] F = load(\"x.nrrd\") ⊛ bspln3;\n",
                "real v = F([0.0, 0.0, 0.0]);"));
