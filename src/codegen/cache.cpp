@@ -80,22 +80,16 @@ std::vector<CacheIndexEntry> readEntriesLocked(const fs::path &Dir) {
   std::string Line;
   while (std::getline(In, Line)) {
     std::vector<std::string> Cols = splitString(Line, '\t');
-    if (Cols.size() < 4 || Cols[0].size() != 32)
+    if (Cols.size() < 7 || Cols[0].size() != 32)
       continue;
     CacheIndexEntry E;
     E.Key = Cols[0];
     E.Program = Cols[1];
     E.UnixMs = std::atoll(Cols[2].c_str());
     E.CompilerId = Cols[3];
-    if (Cols.size() >= 7) {
-      E.SoBytes = std::atoll(Cols[4].c_str());
-      E.SoHash = Cols[5];
-      E.LastUsedMs = std::atoll(Cols[6].c_str());
-    } else {
-      // v1 row: no integrity data; treat install time as last use so LRU
-      // ordering still has something to go on.
-      E.LastUsedMs = E.UnixMs;
-    }
+    E.SoBytes = std::atoll(Cols[4].c_str());
+    E.SoHash = Cols[5];
+    E.LastUsedMs = std::atoll(Cols[6].c_str());
     Entries.push_back(std::move(E));
   }
   return Entries;
@@ -166,7 +160,7 @@ void touchCacheArtifact(const std::string &Dir, const std::string &Key) {
         E.LastUsedMs = Now;
         return true;
       }
-    return false; // no row (v0 cache dir) — nothing to refresh
+    return false; // no row — nothing to refresh
   });
 }
 
@@ -256,7 +250,7 @@ uint64_t enforceCacheCap(const std::string &Dir, uint64_t MaxBytes,
         break;
       }
     if (!Indexed) {
-      // Orphan (pre-v2 or foreign writer): fall back to the file clock.
+      // Orphan (lost or malformed row): fall back to the file clock.
       auto T = fs::last_write_time(It->path(), EC);
       if (!EC)
         V.LastUsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -10,7 +10,7 @@
 /// ("compile once, serve many"). The key is a 128-bit FNV-1a hash over the
 /// program text, the compile options that change the generated code or its
 /// binary, the ddr_* runtime ABI version, the runtime headers the generated
-/// code includes, and the host compiler identity —
+/// code includes, and the host compiler identity and fixed flags —
 /// replacing the earlier std::hash<std::string> size_t key, which had no
 /// collision guarantee, was unstable across standard libraries, and omitted
 /// ABI and compiler identity entirely.
@@ -28,9 +28,9 @@
 /// directory), so a crash mid-update leaves either the old or the new
 /// index, never a torn one. Rows carry the artifact's size and Hash128 so
 /// a disk-hit can be verified before dlopen — a corrupt .so (crashed
-/// writer, bit rot) is quarantined and recompiled instead of loaded. Rows
-/// written by pre-v2 builds have only the first four columns; they parse
-/// with SoBytes = -1 and are loaded unverified, exactly as before.
+/// writer, bit rot) is quarantined and recompiled instead of loaded. A row
+/// with fewer than seven columns is malformed and skipped; its artifact is
+/// then unverifiable, like one with no row at all.
 ///
 /// Invalidation is by key, never in place: a new ABI revision, runtime
 /// header edit, compiler, or flag set hashes to new file names and old
@@ -48,19 +48,10 @@
 #include <vector>
 
 #include "driver/driver.h"
+#include "runtime/ddr_abi.h"
 #include "support/hash.h"
 
 namespace diderot::codegen {
-
-/// Version of the ddr_* C ABI between the driver and generated shared
-/// objects (v5 added ddr_metrics_read; v6 the pooled-scheduler run flag
-/// bit and the persistent StrandPool behind it; v7 the digest/state-log
-/// run flags plus ddr_digest_read / ddr_state_read for record/replay).
-/// Part of every cache key: a .so built for an older protocol must never
-/// be served to a newer driver. The loader probes the v7 symbols with
-/// dlsym and degrades gracefully — a v6 .so still runs, it just cannot
-/// report per-superstep digests.
-constexpr int DdrAbiVersion = 7;
 
 /// Identity of the host toolchain baked into cache keys: the configured
 /// compiler path plus the version banner of the compiler that built this
@@ -84,8 +75,9 @@ support::Hash128 runtimeHeaderDigest(const std::string &SrcDir);
 /// feeds the next stage: the native loader keys on the generated C++
 /// translation unit; the serve daemon keys its program registry on Diderot
 /// source. Both incorporate every CompileOptions field that changes the
-/// result, plus DdrAbiVersion, hostCompilerId() and the runtime header
-/// digest (computed once per process from the configured source root).
+/// result, plus DdrAbiVersion, hostCompilerId(), the fixed host-compiler
+/// flags and the runtime header digest (computed once per process from the
+/// configured source root).
 support::Hash128 programCacheKey(const std::string &Text,
                                  const CompileOptions &Opts);
 /// As above with an explicit runtime header digest.
@@ -99,14 +91,13 @@ inline const char *cacheIndexFile() { return "index.tsv"; }
 /// Subdirectory corrupt artifacts are moved into (never deleted in place).
 inline const char *cacheQuarantineDir() { return "quarantine"; }
 
-/// One row of the cache index. Rows written by pre-v2 builds have only the
-/// first four columns and parse with SoBytes = -1 (artifact unverifiable).
+/// One row of the cache index.
 struct CacheIndexEntry {
   std::string Key;        ///< 32-hex content key (artifact stem is ddr-<key>)
   std::string Program;    ///< program name at compile time
   int64_t UnixMs = 0;     ///< when the host compile happened
   std::string CompilerId; ///< hostCompilerId() that built it
-  int64_t SoBytes = -1;   ///< .so size at install time; -1 = unknown (v1 row)
+  int64_t SoBytes = -1;   ///< .so size at install time
   std::string SoHash;     ///< 32-hex fnv1a128 of the .so; empty = unknown
   int64_t LastUsedMs = 0; ///< recency for LRU eviction (install or last hit)
 };
@@ -128,7 +119,7 @@ void touchCacheArtifact(const std::string &Dir, const std::string &Key);
 /// Outcome of checking an on-disk artifact against its index row.
 enum class ArtifactVerdict {
   Ok,           ///< size and hash match the index
-  Unverifiable, ///< no index row or a v1 row — load it like before
+  Unverifiable, ///< no index row — load it, quarantine if it fails
   Corrupt,      ///< size or hash mismatch — quarantine and recompile
 };
 ArtifactVerdict verifyCacheArtifact(const std::string &Dir,

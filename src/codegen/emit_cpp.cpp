@@ -10,7 +10,8 @@
 //
 // The emitted translation unit is self-contained modulo the header-only
 // native prelude, defines the Globals and Strand structs, one C++ function
-// per IR function, and the plain C ABI (ddr_*) the driver binds with dlsym.
+// per IR function, and the plain C ABI (runtime/ddr_abi.h) the driver binds
+// with dlsym.
 //
 //===----------------------------------------------------------------------===//
 
@@ -561,7 +562,7 @@ private:
 };
 
 /// Count the static (line, class) instrumentation sites of a region tree —
-/// the d2x-style source map served through ddr_prof_map.
+/// the d2x-style source map served as DDR_READ_PROF_MAP.
 void addProfSites(const ir::Region &R,
                   std::map<std::pair<int, int>, uint64_t> &Sites) {
   for (const Instr &I : R.Body) {
@@ -576,10 +577,7 @@ void addProfSites(const ir::Region &R,
 void ModuleEmitter::emitHeader(std::ostringstream &OS) {
   OS << "//===-- generated by diderot-cpp from program '" << M.Name
      << "' --===//\n";
-  // The ABI tag participates in the shared-object cache key (native_load
-  // hashes the generated source), so bumping it invalidates .so files built
-  // against an older prelude/C API.
-  OS << "// Do not edit; regenerate with diderotc. runtime ABI v7\n\n";
+  OS << "// Do not edit; regenerate with diderotc.\n\n";
   OS << "#include <algorithm>\n#include <cmath>\n#include <cstdint>\n";
   OS << "#include \"runtime/native_prelude.h\"\n\n";
   OS << "namespace {\n\n";
@@ -836,7 +834,7 @@ void ModuleEmitter::emitMethod(std::ostringstream &OS, const ir::Function &F,
 
 void ModuleEmitter::emitProfMap(std::ostringstream &OS) {
   // Static (line, class) -> site-count source map of the instrumented
-  // methods, pre-flattened in the ddr_prof_map wire format.
+  // methods, pre-flattened in the DDR_READ_PROF_MAP wire format.
   std::map<std::pair<int, int>, uint64_t> Sites;
   addProfSites(M.Update.Body, Sites);
   if (M.hasStabilize())
@@ -963,6 +961,8 @@ void ModuleEmitter::emitProgClass(std::ostringstream &OS) {
   else
     OS << "  void stabilizeStrand(Strand &) {}\n";
   OS << "  static constexpr int ProfMaxLine = kProfMaxLine;\n";
+  OS << "  static std::vector<uint64_t> profMap() {\n"
+        "    return {std::begin(kProfMap), std::end(kProfMap)};\n  }\n";
   OS << "  ExitKind updateProf(Strand &S, uint64_t *P) { return "
         "f_update_prof(G, S, P); }\n";
   if (M.hasStabilize())
@@ -972,7 +972,7 @@ void ModuleEmitter::emitProgClass(std::ostringstream &OS) {
     OS << "  void stabilizeStrandProf(Strand &, uint64_t *) {}\n";
 
   // strandFinite: the strict-fp trap boundary's predicate, checking every
-  // Real-typed strand slot (runtime ABI v4).
+  // Real-typed strand slot.
   {
     std::vector<int> RealSlots;
     for (size_t I = 0; I < SlotTypes.size(); ++I)
@@ -991,7 +991,7 @@ void ModuleEmitter::emitProgClass(std::ostringstream &OS) {
     }
   }
 
-  // Canonical digest view of the strand (runtime ABI v7): every scalarized
+  // Canonical digest view of the strand: every scalarized
   // slot, params first then state vars — the same order the interpreter
   // flattens RtVals, which is what makes cross-engine digests bit-equal.
   OS << "  static constexpr int NumStateSlots = "
@@ -1029,6 +1029,7 @@ void ModuleEmitter::emitCApi(std::ostringstream &OS) {
 
 extern "C" {
 
+int ddr_abi_version() { return DdrAbiVersion; }
 void *ddr_create() { return new Prog(); }
 void ddr_destroy(void *P) { delete static_cast<Prog *>(P); }
 const char *ddr_error(void *P) { return static_cast<Prog *>(P)->Error.c_str(); }
@@ -1051,91 +1052,20 @@ int ddr_set_input_image(void *P, const char *Name, int Dim,
 int ddr_initialize(void *P) {
   return static_cast<Prog *>(P)->initialize() ? 0 : 1;
 }
-int ddr_run(void *P, int MaxSteps, int Workers, int BlockSize) {
-  return static_cast<Prog *>(P)->run(MaxSteps, Workers, BlockSize, 0);
+int ddr_run(void *P, const ddr_run_args *A) {
+  return static_cast<Prog *>(P)->run(*A);
 }
-int ddr_run_stats(void *P, int MaxSteps, int Workers, int BlockSize) {
-  return static_cast<Prog *>(P)->run(MaxSteps, Workers, BlockSize, 1);
-}
-int ddr_run_flags(void *P, int MaxSteps, int Workers, int BlockSize,
-                  int Flags) {
-  return static_cast<Prog *>(P)->runFlags(MaxSteps, Workers, BlockSize, Flags);
-}
-int ddr_run_policy(void *P, int MaxSteps, int Workers, int BlockSize,
-                   int Flags, int64_t DeadlineNs, int64_t MaxFaults,
-                   int WatchdogSteps, int StrictFp) {
-  return static_cast<Prog *>(P)->runPolicy(MaxSteps, Workers, BlockSize,
-                                           Flags, DeadlineNs, MaxFaults,
-                                           WatchdogSteps, StrictFp);
-}
-int ddr_set_fault_plan(void *P, const uint64_t *Data, int64_t N) {
-  return static_cast<Prog *>(P)->setFaultPlan(Data, N) ? 0 : 1;
-}
-int ddr_outcome(void *P) { return static_cast<Prog *>(P)->lastOutcome(); }
-int64_t ddr_faults_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readFaults(Out, Cap);
+int64_t ddr_read(void *P, int Kind, uint64_t *Out, int64_t Cap) {
+  return static_cast<Prog *>(P)->read(Kind, Out, Cap);
 }
 const char *ddr_fault_msg(void *P, int64_t I) {
   return static_cast<Prog *>(P)->faultMsg(I);
-}
-int64_t ddr_num_faulted(void *P) {
-  return (int64_t)static_cast<Prog *>(P)->numFaulted();
-}
-int64_t ddr_stats_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readStats(Out, Cap);
-}
-int64_t ddr_prof_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readProf(Out, Cap);
-}
-int64_t ddr_prof_map(void *, uint64_t *Out, int64_t Cap) {
-  const int64_t N = (int64_t)(sizeof(kProfMap) / sizeof(kProfMap[0]));
-  if (!Out)
-    return N;
-  int64_t W = Cap < N ? Cap : N;
-  for (int64_t I = 0; I < W; ++I)
-    Out[I] = kProfMap[I];
-  return W;
-}
-int64_t ddr_trace_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readEvents(Out, Cap);
-}
-int64_t ddr_metrics_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readMetrics(Out, Cap);
-}
-int64_t ddr_digest_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readDigests(Out, Cap);
-}
-int64_t ddr_state_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readStates(Out, Cap);
 }
 int ddr_output_dims(void *P, int64_t *Dims, int MaxD) {
   return static_cast<Prog *>(P)->outputDims(Dims, MaxD);
 }
 int64_t ddr_get_output(void *P, const char *Name, double *Data, int64_t Cap) {
   return static_cast<Prog *>(P)->getOutput(Name, Data, Cap);
-}
-int64_t ddr_num_strands(void *P) {
-  return (int64_t)static_cast<Prog *>(P)->numStrands();
-}
-int64_t ddr_num_stable(void *P) {
-  return (int64_t)static_cast<Prog *>(P)->numStable();
-}
-int64_t ddr_num_dead(void *P) {
-  return (int64_t)static_cast<Prog *>(P)->numDead();
-}
-int ddr_num_outputs(void *) {
-  return (int)(sizeof(kOutputs) / sizeof(kOutputs[0]));
-}
-const char *ddr_output_name(void *, int I) { return kOutputs[I].Name; }
-int ddr_output_comps(void *, int I) { return kOutputs[I].Comps; }
-int ddr_output_isint(void *, int I) { return kOutputs[I].IsInt ? 1 : 0; }
-int ddr_num_inputs(void *) {
-  int N = 0;
-  const GlobalMeta *G = Prog::globalMeta(N);
-  int C = 0;
-  for (int I = 0; I < N; ++I)
-    C += G[I].IsInput ? 1 : 0;
-  return C;
 }
 
 } // extern "C"

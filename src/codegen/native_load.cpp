@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <type_traits>
 #include "observe/observe.h"
 #include "observe/profiler.h"
 #include "observe/recorder.h"
@@ -32,6 +34,7 @@
 #include "codegen/config.h"
 #include "codegen/native.h"
 #include "driver/driver.h"
+#include "runtime/ddr_abi.h"
 #include "support/strings.h"
 #include "support/subprocess.h"
 
@@ -97,6 +100,18 @@ support::Hash128 runtimeHeaderDigest(const std::string &SrcDir) {
   return H.digest();
 }
 
+namespace {
+/// The fixed host-compiler flags of every generated object. -O3 matches the
+/// paper's experimental setup; the generated straight-line convolution code
+/// is what the host compiler vectorizes. -falign-functions=64 starts each
+/// function on a cache line, so the hot update and eigen routines keep
+/// their 32-byte branch alignment whatever the size of the runtime code
+/// emitted before them (on a 4-CPU AVX-512 Xeon VM, a 16-byte shift of
+/// those functions slowed ridge3d's sequential run by a third).
+constexpr const char *HostCxxFlags[] = {"-O3", "-std=c++20", "-shared",
+                                        "-fPIC", "-falign-functions=64"};
+} // namespace
+
 support::Hash128 programCacheKey(const std::string &Text,
                                  const CompileOptions &Opts) {
   // Read once per process: the headers the host compiler will see.
@@ -111,6 +126,8 @@ support::Hash128 programCacheKey(const std::string &Text,
   H.updateField("ddr-abi");
   H.updateField(static_cast<int64_t>(DdrAbiVersion));
   H.updateField(hostCompilerId());
+  for (const char *F : HostCxxFlags)
+    H.updateField(F);
   H.updateField(RuntimeDigest.hex());
   H.updateField(static_cast<int64_t>(Opts.Eng == Engine::Interp ? 0 : 1));
   H.updateField(static_cast<int64_t>(Opts.DoublePrecision ? 1 : 0));
@@ -139,7 +156,8 @@ NativeCacheStats nativeCacheStats() {
 
 namespace fs = std::filesystem;
 
-/// The dlsym'd C ABI of a generated program.
+/// The dlsym'd C ABI of a generated program (runtime/ddr_abi.h), less
+/// ddr_abi_version, which only the handshake calls.
 struct CApi {
   void *(*Create)();
   void (*Destroy)(void *);
@@ -150,50 +168,11 @@ struct CApi {
                   const double *, const double *, const double *,
                   const double *);
   int (*Initialize)(void *);
-  int (*Run)(void *, int, int, int);
-  /// Like Run but with telemetry collection on (null in pre-v2 .so files).
-  int (*RunStats)(void *, int, int, int);
-  /// Flatten the last collected run's stats (see observe::flattenStats).
-  int64_t (*StatsRead)(void *, uint64_t *, int64_t);
-  /// v3 protocol (all null in older .so files, handled gracefully): Run with
-  /// a flags word (1 stats, 2 profile, 4 lifecycle), then readers for the
-  /// profile counters, the static source map, and the lifecycle events.
-  int (*RunFlags)(void *, int, int, int, int);
-  int64_t (*ProfRead)(void *, uint64_t *, int64_t);
-  int64_t (*ProfMap)(void *, uint64_t *, int64_t);
-  int64_t (*TraceRead)(void *, uint64_t *, int64_t);
-  /// v4 protocol — the fault-containment layer (all null in older .so
-  /// files). Unlike the v3 readers these do NOT degrade silently when a
-  /// policy is requested: silently ignoring a deadline or fault budget
-  /// would be unsafe, so run() reports an explicit error instead.
-  int (*RunPolicy)(void *, int, int, int, int, int64_t, int64_t, int, int);
-  int (*SetFaultPlan)(void *, const uint64_t *, int64_t);
-  int (*Outcome)(void *);
-  int64_t (*FaultsRead)(void *, uint64_t *, int64_t);
+  int (*Run)(void *, const ddr_run_args *);
+  int64_t (*Read)(void *, int, uint64_t *, int64_t);
   const char *(*FaultMsg)(void *, int64_t);
-  int64_t (*NumFaulted)(void *);
-  /// v5 protocol (null in older .so files): snapshot the metrics registry
-  /// (flag 8 on RunFlags arms it). Safe to call concurrently with a run —
-  /// the snapshot reads only barrier-published atomics — which is what the
-  /// driver's live GET /metrics endpoint uses. Degrades to deriveMetrics
-  /// over the v2 stats when absent.
-  int64_t (*MetricsRead)(void *, uint64_t *, int64_t);
-  /// v7 protocol (null in older .so files): readers for the per-superstep
-  /// digest stream and the per-strand state log armed by run flags 32/64
-  /// (record/replay, docs/REPLAY.md). Degrades gracefully when absent —
-  /// replay falls back to final-output-only digests, a documented weaker
-  /// fidelity, unlike policies which must fail loudly.
-  int64_t (*DigestRead)(void *, uint64_t *, int64_t);
-  int64_t (*StateRead)(void *, uint64_t *, int64_t);
   int (*OutputDims)(void *, int64_t *, int);
   int64_t (*GetOutput)(void *, const char *, double *, int64_t);
-  int64_t (*NumStrands)(void *);
-  int64_t (*NumStable)(void *);
-  int64_t (*NumDead)(void *);
-  int (*NumOutputs)(void *);
-  const char *(*OutputName)(void *, int);
-  int (*OutputComps)(void *, int);
-  int (*OutputIsInt)(void *, int);
 };
 
 struct LoadedLib {
@@ -277,9 +256,7 @@ Result<const LoadedLib *> compileAndLoad(const std::string &Source,
     support::SubprocessCommand Cmd;
     // The override may carry flags ("ccache g++ -pipe"): split into words.
     Cmd.Argv = support::splitCommandWords(Cxx);
-    // -O3 matches the paper's experimental setup; the generated
-    // straight-line convolution code is what the host compiler vectorizes.
-    for (const char *F : {"-O3", "-std=c++20", "-shared", "-fPIC"})
+    for (const char *F : HostCxxFlags)
       Cmd.Argv.push_back(F);
     Cmd.Argv.push_back(strf("-I", DIDEROT_SRC_DIR));
     for (std::string &F : support::splitCommandWords(Opts.ExtraCxxFlags))
@@ -350,102 +327,61 @@ Result<const LoadedLib *> compileAndLoad(const std::string &Source,
     touchCacheArtifact(Dir.string(), Key);
   }
 
-  void *Handle = dlopen(SoPath.string().c_str(), RTLD_NOW | RTLD_LOCAL);
+  // dlopen the artifact and check the version handshake. A library that
+  // cannot load, or that answers a different ddr_abi_version(), is closed
+  // again with the reason in Why.
+  std::string Why;
+  auto Open = [&]() -> void * {
+    void *H = dlopen(SoPath.string().c_str(), RTLD_NOW | RTLD_LOCAL);
+    if (!H) {
+      const char *DlMsg = dlerror();
+      Why = strf("dlopen failed: ", DlMsg ? DlMsg : "unknown dlopen failure");
+      return nullptr;
+    }
+    auto Version = reinterpret_cast<int (*)()>(dlsym(H, "ddr_abi_version"));
+    if (Version && Version() == DdrAbiVersion)
+      return H;
+    Why = Version ? strf("ABI version mismatch: library has v", Version(),
+                         ", driver expects v", int{DdrAbiVersion})
+                  : strf("no ddr_abi_version symbol; driver expects ABI v",
+                         int{DdrAbiVersion});
+    dlclose(H);
+    return nullptr;
+  };
+  void *Handle = Open();
   if (!Handle && !Compiled) {
-    // An unverifiable disk artifact (v1 index row, or an index lost in a
-    // crash) can still fail to load; quarantine it and compile fresh once.
-    const char *DlMsg = dlerror();
-    std::string DlErr = DlMsg ? DlMsg : "unknown dlopen failure";
-    quarantineCacheArtifact(Dir.string(), Key, strf("dlopen failed: ", DlErr));
+    // An unverifiable disk artifact (no index row, e.g. one lost in a crash)
+    // can still fail to load or answer another ABI version; quarantine it
+    // and compile fresh once.
+    quarantineCacheArtifact(Dir.string(), Key, Why);
     Status S = HostCompile();
     if (!S.isOk())
       return RL::error(S.message());
-    Handle = dlopen(SoPath.string().c_str(), RTLD_NOW | RTLD_LOCAL);
+    Handle = Open();
   }
   if (!Handle)
-    return RL::error(strf("dlopen failed: ", dlerror()));
+    return RL::error(Why);
 
   LoadedLib Lib;
   Lib.Handle = Handle;
-  auto Sym = [&](const char *S) { return dlsym(Handle, S); };
-  Lib.Api.Create = reinterpret_cast<void *(*)()>(Sym("ddr_create"));
-  Lib.Api.Destroy = reinterpret_cast<void (*)(void *)>(Sym("ddr_destroy"));
-  Lib.Api.Error =
-      reinterpret_cast<const char *(*)(void *)>(Sym("ddr_error"));
-  Lib.Api.SetScalars =
-      reinterpret_cast<int (*)(void *, const char *, const double *, int)>(
-          Sym("ddr_set_input_scalars"));
-  Lib.Api.SetString =
-      reinterpret_cast<int (*)(void *, const char *, const char *)>(
-          Sym("ddr_set_input_string"));
-  Lib.Api.SetImage = reinterpret_cast<int (*)(
-      void *, const char *, int, const int64_t *, int64_t, const double *,
-      const double *, const double *, const double *)>(
-      Sym("ddr_set_input_image"));
-  Lib.Api.Initialize =
-      reinterpret_cast<int (*)(void *)>(Sym("ddr_initialize"));
-  Lib.Api.Run = reinterpret_cast<int (*)(void *, int, int, int)>(
-      Sym("ddr_run"));
-  Lib.Api.RunStats = reinterpret_cast<int (*)(void *, int, int, int)>(
-      Sym("ddr_run_stats"));
-  Lib.Api.StatsRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_stats_read"));
-  Lib.Api.RunFlags = reinterpret_cast<int (*)(void *, int, int, int, int)>(
-      Sym("ddr_run_flags"));
-  Lib.Api.ProfRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_prof_read"));
-  Lib.Api.ProfMap =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_prof_map"));
-  Lib.Api.TraceRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_trace_read"));
-  Lib.Api.RunPolicy = reinterpret_cast<int (*)(void *, int, int, int, int,
-                                               int64_t, int64_t, int, int)>(
-      Sym("ddr_run_policy"));
-  Lib.Api.SetFaultPlan =
-      reinterpret_cast<int (*)(void *, const uint64_t *, int64_t)>(
-          Sym("ddr_set_fault_plan"));
-  Lib.Api.Outcome = reinterpret_cast<int (*)(void *)>(Sym("ddr_outcome"));
-  Lib.Api.FaultsRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_faults_read"));
-  Lib.Api.FaultMsg = reinterpret_cast<const char *(*)(void *, int64_t)>(
-      Sym("ddr_fault_msg"));
-  Lib.Api.NumFaulted =
-      reinterpret_cast<int64_t (*)(void *)>(Sym("ddr_num_faulted"));
-  Lib.Api.MetricsRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_metrics_read"));
-  Lib.Api.DigestRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_digest_read"));
-  Lib.Api.StateRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_state_read"));
-  Lib.Api.OutputDims = reinterpret_cast<int (*)(void *, int64_t *, int)>(
-      Sym("ddr_output_dims"));
-  Lib.Api.GetOutput =
-      reinterpret_cast<int64_t (*)(void *, const char *, double *, int64_t)>(
-          Sym("ddr_get_output"));
-  Lib.Api.NumStrands =
-      reinterpret_cast<int64_t (*)(void *)>(Sym("ddr_num_strands"));
-  Lib.Api.NumStable =
-      reinterpret_cast<int64_t (*)(void *)>(Sym("ddr_num_stable"));
-  Lib.Api.NumDead =
-      reinterpret_cast<int64_t (*)(void *)>(Sym("ddr_num_dead"));
-  Lib.Api.NumOutputs =
-      reinterpret_cast<int (*)(void *)>(Sym("ddr_num_outputs"));
-  Lib.Api.OutputName =
-      reinterpret_cast<const char *(*)(void *, int)>(Sym("ddr_output_name"));
-  Lib.Api.OutputComps =
-      reinterpret_cast<int (*)(void *, int)>(Sym("ddr_output_comps"));
-  Lib.Api.OutputIsInt =
-      reinterpret_cast<int (*)(void *, int)>(Sym("ddr_output_isint"));
-  if (!Lib.Api.Create || !Lib.Api.Run || !Lib.Api.GetOutput)
+  auto Bind = [&](auto &Fn, const char *Sym) {
+    Fn = reinterpret_cast<std::remove_reference_t<decltype(Fn)>>(
+        dlsym(Handle, Sym));
+    return Fn != nullptr;
+  };
+  CApi &A = Lib.Api;
+  if (!(Bind(A.Create, "ddr_create") && Bind(A.Destroy, "ddr_destroy") &&
+        Bind(A.Error, "ddr_error") &&
+        Bind(A.SetScalars, "ddr_set_input_scalars") &&
+        Bind(A.SetString, "ddr_set_input_string") &&
+        Bind(A.SetImage, "ddr_set_input_image") &&
+        Bind(A.Initialize, "ddr_initialize") && Bind(A.Run, "ddr_run") &&
+        Bind(A.Read, "ddr_read") && Bind(A.FaultMsg, "ddr_fault_msg") &&
+        Bind(A.OutputDims, "ddr_output_dims") &&
+        Bind(A.GetOutput, "ddr_get_output"))) {
+    dlclose(Handle);
     return RL::error("generated library is missing ddr_* symbols");
+  }
 
   std::lock_guard<std::mutex> G(CacheLock);
   auto [It, _] = LibCache.emplace(Key, Lib);
@@ -505,126 +441,84 @@ public:
   Result<rt::RunStats> run(const rt::RunConfig &C) override {
     using RS = Result<rt::RunStats>;
     LastProfile = observe::ProfileData();
-    // Each capability degrades independently when loading an older .so that
-    // lacks the v3 symbols: stats fall back to the v2 ddr_run_stats entry
-    // point, profile and lifecycle silently turn off.
-    bool WantStats =
-        (C.CollectStats || C.CollectLifecycle || C.CollectMetrics) &&
-        Api->StatsRead;
-    bool WantProf = C.CollectProfile && Api->RunFlags && Api->ProfRead;
-    bool WantTrace = C.CollectLifecycle && Api->RunFlags && Api->TraceRead;
-    // Metrics prefer the v5 in-.so registry; a v4 library degrades to
-    // deriveMetrics over the stats below (claim-latency histogram empty).
-    bool NativeMetrics =
-        C.CollectMetrics && Api->RunFlags && Api->MetricsRead;
-    bool Collect = WantStats && (Api->RunStats || Api->RunFlags);
-    // A run policy must not degrade silently — ignoring a deadline or a
-    // fault budget is unsafe — so a pre-v4 .so is an explicit error.
-    const bool Policied = C.Policy.active();
-    if (Policied && (!Api->RunPolicy || !Api->SetFaultPlan))
-      return RS::error("generated library does not support run policies "
-                       "(pre-v4 runtime ABI); regenerate the program");
-    // The pooled scheduler rides a v6 run-flag bit; a .so predating
-    // ddr_run_flags silently degrades to BSP (a scheduler choice is a
-    // performance knob, not a safety contract — unlike policies below).
-    bool WantPooled =
-        C.Sched == rt::Scheduler::Pooled && C.NumWorkers >= 1 &&
-        Api->RunFlags;
-    // Digests ride the v7 run flags. A pre-v7 .so degrades gracefully:
-    // LastDigests stays empty and the replay layer falls back to comparing
-    // final outputs only (a documented weaker fidelity, not an error).
-    bool WantDigest = (C.CollectDigests || C.CollectStateLog) &&
-                      Api->RunFlags && Api->DigestRead;
-    bool WantStateLog = C.CollectStateLog && WantDigest && Api->StateRead;
     LastDigests.clear();
+    const bool Collect =
+        C.CollectStats || C.CollectLifecycle || C.CollectMetrics;
+    const bool Digest = C.CollectDigests || C.CollectStateLog;
+    std::vector<uint64_t> Plan;
+    if (!C.Policy.Plan.empty())
+      Plan = observe::flattenPlan(C.Policy.Plan);
+    ddr_run_args A{};
+    A.max_steps = C.MaxSupersteps;
+    A.workers = C.NumWorkers;
+    A.block_size = C.BlockSize;
+    A.scheduler = static_cast<int32_t>(C.Sched);
+    A.stats = Collect;
+    A.profile = C.CollectProfile;
+    A.lifecycle = C.CollectLifecycle;
+    A.metrics = C.CollectMetrics;
+    A.digests = Digest;
+    A.state_log = C.CollectStateLog;
+    A.strict_fp = C.Policy.StrictFp;
+    A.watchdog_steps = C.Policy.WatchdogSteps;
+    A.deadline_ns = C.Policy.DeadlineNs;
+    A.max_faults = C.Policy.MaxFaults;
+    A.fault_plan = Plan.empty() ? nullptr : Plan.data();
+    A.fault_plan_words = static_cast<int64_t>(Plan.size());
     auto T0 = std::chrono::steady_clock::now();
-    int Steps;
-    int Flags = (Collect ? 1 : 0) | (WantProf ? 2 : 0) | (WantTrace ? 4 : 0) |
-                (NativeMetrics ? 8 : 0) | (WantPooled ? 16 : 0) |
-                (WantDigest ? 32 : 0) | (WantStateLog ? 64 : 0);
-    if (Policied) {
-      std::vector<uint64_t> Plan = observe::flattenPlan(C.Policy.Plan);
-      if (Api->SetFaultPlan(Prog, Plan.data(),
-                            static_cast<int64_t>(Plan.size())) != 0)
-        return RS::error(Api->Error(Prog));
-      Steps = Api->RunPolicy(Prog, C.MaxSupersteps, C.NumWorkers, C.BlockSize,
-                             Flags, C.Policy.DeadlineNs, C.Policy.MaxFaults,
-                             C.Policy.WatchdogSteps,
-                             C.Policy.StrictFp ? 1 : 0);
-    } else if (Api->RunFlags &&
-               (Collect || WantProf || WantTrace || NativeMetrics ||
-                WantPooled || WantDigest)) {
-      Steps = Api->RunFlags(Prog, C.MaxSupersteps, C.NumWorkers, C.BlockSize,
-                            Flags);
-    } else if (Collect) {
-      Steps = Api->RunStats(Prog, C.MaxSupersteps, C.NumWorkers, C.BlockSize);
-    } else {
-      Steps = Api->Run(Prog, C.MaxSupersteps, C.NumWorkers, C.BlockSize);
-    }
+    int Steps = Api->Run(Prog, &A);
     if (Steps < 0)
       return RS::error(Api->Error(Prog));
-    if (WantDigest) {
-      std::vector<uint64_t> Flat = readFlat(Api->DigestRead);
+    if (Digest) {
+      std::vector<uint64_t> Flat = read(DDR_READ_DIGEST);
       if (!observe::unflattenDigests(Flat.data(), Flat.size(), LastDigests))
         return RS::error("generated library returned malformed digests");
-      if (WantStateLog) {
-        std::vector<uint64_t> St = readFlat(Api->StateRead);
-        // A .so may report 0 words when the state log was not retained.
-        if (St.size() >= 3 &&
-            !observe::unflattenStates(St.data(), St.size(), LastDigests))
+      if (C.CollectStateLog) {
+        std::vector<uint64_t> St = read(DDR_READ_STATE);
+        if (!observe::unflattenStates(St.data(), St.size(), LastDigests))
           return RS::error("generated library returned malformed state log");
       }
     }
-    rt::RunStats Stats;
-    if (WantProf) {
-      std::vector<uint64_t> Flat = readFlat(Api->ProfRead);
+    if (C.CollectProfile) {
+      std::vector<uint64_t> Flat = read(DDR_READ_PROF);
+      std::vector<uint64_t> Map = read(DDR_READ_PROF_MAP);
       if (!observe::unflattenProfile(Flat.data(), Flat.size(), LastProfile,
-                                     /*Sites=*/false))
+                                     /*Sites=*/false) ||
+          !observe::unflattenProfile(Map.data(), Map.size(), LastProfile,
+                                     /*Sites=*/true))
         return RS::error("generated library returned malformed profile");
-      if (Api->ProfMap) {
-        std::vector<uint64_t> Map = readFlat(Api->ProfMap);
-        if (!observe::unflattenProfile(Map.data(), Map.size(), LastProfile,
-                                       /*Sites=*/true))
-          return RS::error("generated library returned malformed profile map");
-      }
       LastProfile.Enabled = true;
     }
+    rt::RunStats Stats;
     if (Collect) {
-      std::vector<uint64_t> Flat = readFlat(Api->StatsRead);
+      std::vector<uint64_t> Flat = read(DDR_READ_STATS);
       if (!observe::unflattenStats(Flat.data(), Flat.size(), Stats))
         return RS::error("generated library returned malformed stats");
-      if (WantTrace) {
-        std::vector<uint64_t> Ev = readFlat(Api->TraceRead);
+      if (C.CollectLifecycle) {
+        std::vector<uint64_t> Ev = read(DDR_READ_TRACE);
         if (!observe::unflattenEvents(Ev.data(), Ev.size(), Stats))
           return RS::error("generated library returned malformed trace");
       }
-      Stats.Steps = Steps;
-      Status V = attachVerdict(Stats);
-      if (!V.isOk())
-        return RS::error(V.message());
-      attachMetrics(C, NativeMetrics, Stats);
-      return Stats;
+    } else {
+      Stats.NumWorkers = C.NumWorkers <= 0 ? 0 : C.NumWorkers;
+      Stats.WallNs = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - T0)
+              .count());
     }
     Stats.Steps = Steps;
-    Stats.NumWorkers = C.NumWorkers <= 0 ? 0 : C.NumWorkers;
-    Stats.WallNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - T0)
-            .count());
     Status V = attachVerdict(Stats);
+    if (V.isOk())
+      V = attachMetrics(C, Stats);
     if (!V.isOk())
       return RS::error(V.message());
-    attachMetrics(C, NativeMetrics, Stats);
     return Stats;
   }
 
-  /// Live registry snapshot while run() executes on another thread (v5
-  /// libraries only; empty data when the symbol is absent).
+  /// Live registry snapshot while run() executes on another thread.
   observe::MetricsData liveMetrics() const override {
     observe::MetricsData D;
-    if (!Api->MetricsRead)
-      return D;
-    std::vector<uint64_t> Flat = readFlat(Api->MetricsRead);
+    std::vector<uint64_t> Flat = read(DDR_READ_METRICS);
     observe::unflattenMetrics(Flat.data(), Flat.size(), D);
     return D;
   }
@@ -667,58 +561,32 @@ public:
     return Status::ok();
   }
 
-  size_t numStrands() const override {
-    return static_cast<size_t>(Api->NumStrands(Prog));
-  }
-  size_t numStable() const override {
-    return static_cast<size_t>(Api->NumStable(Prog));
-  }
-  size_t numDead() const override {
-    return static_cast<size_t>(Api->NumDead(Prog));
-  }
-  size_t numFaulted() const override {
-    return Api->NumFaulted ? static_cast<size_t>(Api->NumFaulted(Prog)) : 0;
-  }
+  size_t numStrands() const override { return counts()[1]; }
+  size_t numStable() const override { return counts()[2]; }
+  size_t numDead() const override { return counts()[3]; }
+  size_t numFaulted() const override { return counts()[4]; }
 
 private:
-  /// Read the run's verdict and fault records back out of the .so. A pre-v4
-  /// library has no ddr_outcome; derive Converged/StepLimit from the
-  /// retirement counts (faults cannot exist there — policied runs were
-  /// rejected above).
+  /// Read the run's verdict and fault records back out of the .so.
   Status attachVerdict(rt::RunStats &Stats) const {
-    if (Api->Outcome) {
-      Stats.Outcome = static_cast<rt::RunOutcome>(Api->Outcome(Prog));
-    } else {
-      Stats.Outcome = numStable() + numDead() == numStrands()
-                          ? rt::RunOutcome::Converged
-                          : rt::RunOutcome::StepLimit;
-    }
-    if (Api->FaultsRead) {
-      std::vector<uint64_t> Flat = readFlat(Api->FaultsRead);
-      if (!observe::unflattenFaults(Flat.data(), Flat.size(), Stats.Faults))
-        return Status::error("generated library returned malformed faults");
-      if (Api->FaultMsg)
-        for (size_t I = 0; I < Stats.Faults.size(); ++I)
-          if (const char *Msg = Api->FaultMsg(Prog, static_cast<int64_t>(I)))
-            Stats.Faults[I].Message = Msg;
-    }
+    Stats.Outcome = static_cast<rt::RunOutcome>(counts()[0]);
+    std::vector<uint64_t> Flat = read(DDR_READ_FAULTS);
+    if (!observe::unflattenFaults(Flat.data(), Flat.size(), Stats.Faults))
+      return Status::error("generated library returned malformed faults");
+    for (size_t I = 0; I < Stats.Faults.size(); ++I)
+      if (const char *Msg = Api->FaultMsg(Prog, static_cast<int64_t>(I)))
+        Stats.Faults[I].Message = Msg;
     return Status::ok();
   }
 
-  /// Fill Stats.Metrics after a metrics-collecting run: read the in-.so v5
-  /// registry when armed, otherwise rebuild superstep-level histograms from
-  /// the spans (runs after attachVerdict so Faults are populated).
-  void attachMetrics(const rt::RunConfig &C, bool NativeMetrics,
-                     rt::RunStats &Stats) const {
+  /// Fill Stats.Metrics from the in-.so registry after a metrics-armed run.
+  Status attachMetrics(const rt::RunConfig &C, rt::RunStats &Stats) const {
     if (!C.CollectMetrics)
-      return;
-    if (NativeMetrics) {
-      std::vector<uint64_t> Flat = readFlat(Api->MetricsRead);
-      if (observe::unflattenMetrics(Flat.data(), Flat.size(), Stats.Metrics) &&
-          Stats.Metrics.Enabled)
-        return;
-    }
-    Stats.Metrics = observe::deriveMetrics(Stats);
+      return Status::ok();
+    std::vector<uint64_t> Flat = read(DDR_READ_METRICS);
+    if (!observe::unflattenMetrics(Flat.data(), Flat.size(), Stats.Metrics))
+      return Status::error("generated library returned malformed metrics");
+    return Status::ok();
   }
 
   Status check(int RC) {
@@ -727,14 +595,27 @@ private:
     return Status::error(Api->Error(Prog));
   }
 
-  /// Null-size-then-fill read protocol shared by all flat-array readers.
-  std::vector<uint64_t> readFlat(int64_t (*Read)(void *, uint64_t *,
-                                                 int64_t)) const {
-    int64_t Need = Read(Prog, nullptr, 0);
-    std::vector<uint64_t> Flat(static_cast<size_t>(Need > 0 ? Need : 0));
-    if (Need > 0)
-      Read(Prog, Flat.data(), Need);
-    return Flat;
+  /// One ddr_read snapshot. ddr_read writes nothing unless the whole
+  /// snapshot fits, so grow to the count it asks for and retry: a live
+  /// metrics snapshot can grow between two calls. An unknown kind (< 0)
+  /// reads as empty, which every unflatten* rejects.
+  std::vector<uint64_t> read(int Kind) const {
+    std::vector<uint64_t> Flat;
+    for (;;) {
+      int64_t Need = Api->Read(Prog, Kind, Flat.data(),
+                               static_cast<int64_t>(Flat.size()));
+      bool Fit = Need <= static_cast<int64_t>(Flat.size());
+      Flat.resize(static_cast<size_t>(Need > 0 ? Need : 0));
+      if (Fit)
+        return Flat;
+    }
+  }
+
+  /// [outcome, strands, stable, dead, faulted] of the instance.
+  std::array<uint64_t, DDR_COUNTS_WORDS> counts() const {
+    std::array<uint64_t, DDR_COUNTS_WORDS> N{};
+    Api->Read(Prog, DDR_READ_COUNTS, N.data(), DDR_COUNTS_WORDS);
+    return N;
   }
 
   const CApi *Api;

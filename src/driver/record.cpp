@@ -125,7 +125,7 @@ void FlightRecorder::begin(std::string RecDir, const std::string &ProgramName,
   Files.clear();
   B.Program = ProgramName;
   B.Source = std::move(Source);
-  B.AbiVersion = codegen::DdrAbiVersion;
+  B.AbiVersion = DdrAbiVersion;
   B.CompilerId = codegen::hostCompilerId();
   B.GitSha = currentGitSha();
   B.EngineNative = Opts.Eng == Engine::Native;
@@ -183,8 +183,7 @@ Status FlightRecorder::finish(rt::ProgramInstance &I,
   B.NumStrands = static_cast<int64_t>(I.numStrands());
   B.OutputDigest = outputDigestHex(I);
   if (const observe::DigestLog *L = I.digestLog())
-    B.Digests = *L; // absent on pre-v7 .so files: bundle degrades to
-                    // outcome + final-output comparison
+    B.Digests = *L;
   else
     B.Digests.clear();
   return observe::writeBundle(Dir, B, Files);

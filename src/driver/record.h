@@ -110,8 +110,9 @@ struct ReplayReport {
   std::string ReplayedOutcome;
   int ReplayedSteps = 0;
   std::string ReplayedOutputDigest;
-  /// False when per-step digests could not be compared (pre-v7 native .so
-  /// degrade) — then only outcome and final-output digest were checked.
+  /// False when the bundle carries no per-step digests (e.g. one written
+  /// for a trapped run) — then only outcome and final-output digest were
+  /// checked.
   bool DigestsCompared = false;
   observe::Divergence Div; ///< meaningful when DigestsCompared
   bool OutcomeMatches = false;

@@ -94,7 +94,7 @@ struct DigestLog {
 };
 
 //===----------------------------------------------------------------------===//
-// Flat wire format (ddr_digest_read / ddr_state_read, ABI v7)
+// Flat wire format (DDR_READ_DIGEST / DDR_READ_STATE)
 //===----------------------------------------------------------------------===//
 //
 // Digest stream: [0] entry count, then (Hi, Lo) per entry.

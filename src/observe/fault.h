@@ -125,9 +125,9 @@ struct FaultPlan {
 // Flat wire formats (dlopen boundary)
 //===----------------------------------------------------------------------===//
 //
-// A fault plan crosses into a generated shared object (ddr_set_fault_plan)
-// as: [0] entry count, then records of 3: strand, step, kind.
-// Recorded faults cross back (ddr_faults_read) as: [0] fault count, then
+// A fault plan crosses into a generated shared object (ddr_run_args
+// fault_plan) as: [0] entry count, then records of 3: strand, step, kind.
+// Recorded faults cross back (DDR_READ_FAULTS) as: [0] fault count, then
 // records of 5: strand, step, worker, kind, ns. Messages are strings, so
 // they ride separately through ddr_fault_msg(instance, index).
 

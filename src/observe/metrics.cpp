@@ -3,8 +3,7 @@
 // Part of the Diderot-C++ reproduction (PLDI 2012).
 //
 // Host-side half of the metrics registry: the Prometheus text and JSON
-// exposition formats, the v4-ABI fallback that derives step-level
-// histograms from Recorder spans, and the background process-RSS sampler.
+// exposition formats and the background process-RSS sampler.
 // The registry itself is header-only (observe/metrics.h) because generated
 // native code links it; nothing here crosses the dlopen boundary.
 //
@@ -132,40 +131,6 @@ std::string metricsJson(const MetricsData &D) {
   }
   Out += "}}";
   return Out;
-}
-
-MetricsData deriveMetrics(const RunStats &R) {
-  Metrics M;
-  M.start(R.NumWorkers, true);
-  M.counter(McUpdated).add(R.Totals.Updated);
-  M.counter(McStabilized).add(R.Totals.Stabilized);
-  M.counter(McDied).add(R.Totals.Died);
-  M.counter(McBlocksClaimed).add(R.Totals.BlocksClaimed);
-  M.counter(McLockAcquires).add(R.Totals.LockAcquires);
-  M.counter(McBarrierWaits).add(R.Totals.BarrierWaits);
-  M.counter(McSupersteps).add(R.Supersteps.size());
-  M.counter(McFaults).add(R.Faults.size());
-  for (size_t S = 0; S < R.Supersteps.size(); ++S) {
-    const StepStats &St = R.Supersteps[S];
-    M.hist(MhStepWallNs)
-        .record(St.EndNs > St.BeginNs ? St.EndNs - St.BeginNs : 0);
-    M.hist(MhUpdatesPerStep).record(St.Updated);
-    uint64_t MinDur = ~uint64_t(0), MaxDur = 0;
-    bool Any = false;
-    for (const std::vector<WorkerSpan> &Row : R.Workers) {
-      if (S >= Row.size())
-        continue;
-      uint64_t Dur = Row[S].EndNs - Row[S].BeginNs;
-      MinDur = Dur < MinDur ? Dur : MinDur;
-      MaxDur = Dur > MaxDur ? Dur : MaxDur;
-      Any = true;
-    }
-    if (Any)
-      M.hist(MhImbalanceNs).record(MaxDur - MinDur);
-  }
-  // Block-claim latency needs per-claim timing, which spans do not carry:
-  // that histogram stays empty on the fallback path.
-  return M.snapshot();
 }
 
 int64_t readProcessRssBytes() {

@@ -7,7 +7,7 @@
 /// \file
 /// A typed metrics registry: `Counter`, `Gauge`, and a log-linear-bucketed
 /// `Histogram` with quantile estimates, plus the value-type snapshot
-/// (`MetricsData`) and its flat wire format for the `ddr_*` native ABI (v5).
+/// (`MetricsData`) and its flat wire format for the `ddr_*` native ABI.
 ///
 /// Concurrency contract (the same happens-before structure Recorder
 /// documents):
@@ -20,8 +20,8 @@
 ///  - The *merged* totals (and all counters/gauges) are relaxed atomics with
 ///    a single logical writer (the coordinator, or the RSS sampler for its
 ///    own gauge). Concurrent readers — the embedded `/metrics` endpoint, a
-///    live `ddr_metrics_read` call — take `snapshot()`s that only load these
-///    atomics, so live scrapes race with nothing.
+///    live `ddr_read` of DDR_READ_METRICS — take `snapshot()`s that only
+///    load these atomics, so live scrapes race with nothing.
 ///  - When the registry is not armed (`Metrics::start(_, false)`), the
 ///    scheduler hot paths see a null `Recorder::metrics()` and skip every
 ///    histogram/gauge touch; counters ride along with the spans Recorder
@@ -439,7 +439,7 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Flat wire format (ddr_metrics_read, ABI v5)
+// Flat wire format (ddr_read DDR_READ_METRICS)
 //===----------------------------------------------------------------------===//
 //
 //   [0]                enabled (0/1)

@@ -27,11 +27,9 @@
 ///  * metricsJson    — the registry as a JSON object (merged into statsJson
 ///                     under the "metrics" key).
 ///
-/// Also hosts the host-only live-monitoring pieces: deriveMetrics (the v4
-/// ABI fallback that reconstructs step-level histograms from spans), the
-/// process-RSS sampler, and the MetricsServer (a routing shim in
-/// metrics_http.cpp over the shared support/http.h server, where all
-/// socket code lives).
+/// Also hosts the host-only live-monitoring pieces: the process-RSS sampler
+/// and the MetricsServer (a routing shim in metrics_http.cpp over the
+/// shared support/http.h server, where all socket code lives).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -145,13 +143,6 @@ std::string prometheusText(const MetricsData &D);
 /// "p50","p90","p99","buckets":[[index,count],...]},...}}. Time-valued
 /// histograms keep raw nanoseconds here (the *_ns key names say so).
 std::string metricsJson(const MetricsData &D);
-
-/// Reconstruct a MetricsData from span-level RunStats: counters from the
-/// totals, superstep wall / imbalance / updates histograms from the worker
-/// spans. The graceful-degradation path for v4 native objects that predate
-/// ddr_metrics_read — block-claim latency is the one histogram spans cannot
-/// recover, so it stays empty.
-MetricsData deriveMetrics(const RunStats &R);
 
 /// Current resident set size of this process in bytes (via
 /// /proc/self/statm; 0 where that is unavailable).

@@ -9,9 +9,10 @@
 /// counter table keyed by (DSL source line, op class). The interpreter
 /// increments it while evaluating MidIR (using each instruction's SourceLoc);
 /// the native backend compiles counter increments into the generated C++ and
-/// ships the flat counter array across the dlopen C ABI (ddr_prof_read),
-/// alongside a d2x-style static source map (ddr_prof_map) recording which
-/// lines the generated code instruments.
+/// ships the flat counter array across the dlopen C ABI (ddr_read of
+/// DDR_READ_PROF), alongside a d2x-style static source map
+/// (DDR_READ_PROF_MAP) recording which lines the generated code
+/// instruments.
 ///
 /// Like recorder.h this header is deliberately STL-only and header-only:
 /// generated native translation units include it through
@@ -33,8 +34,8 @@
 namespace diderot::observe {
 
 /// The profiled operation classes. The numeric values are part of the
-/// ddr_prof_read/ddr_prof_map wire format and of ir::profClassOf()'s return
-/// contract — append only.
+/// DDR_READ_PROF / DDR_READ_PROF_MAP wire format and of
+/// ir::profClassOf()'s return contract — append only.
 enum class ProfClass : int {
   Probe = 0,      ///< field probes (voxel fetches of the reconstruction)
   KernelEval = 1, ///< kernel piece evaluations (KernelWeight / PolyEval)
@@ -157,11 +158,11 @@ private:
 // Flat wire format
 //===----------------------------------------------------------------------===//
 //
-// Generated shared objects expose profile counters (ddr_prof_read) and the
-// static source map (ddr_prof_map) as the same flat uint64_t layout:
+// Generated shared objects expose profile counters (DDR_READ_PROF) and the
+// static source map (DDR_READ_PROF_MAP) as the same flat uint64_t layout:
 //   [0] number of records, then records of 3: line, class, value.
-// ddr_prof_read values are dynamic counts; ddr_prof_map values are static
-// instrumentation-site counts.
+// DDR_READ_PROF values are dynamic counts; DDR_READ_PROF_MAP values are
+// static instrumentation-site counts.
 
 constexpr size_t ProfHeaderWords = 1;
 constexpr size_t ProfRecordWords = 3;

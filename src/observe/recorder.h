@@ -215,7 +215,7 @@ public:
   Metrics *metrics() { return MetricsArmed ? &M : nullptr; }
 
   /// Snapshot the registry (atomic loads only): safe to call from another
-  /// thread — the embedded /metrics endpoint, a live ddr_metrics_read —
+  /// thread — the embedded /metrics endpoint, a live DDR_READ_METRICS —
   /// while a run is executing.
   MetricsData metricsData() const { return M.snapshot(); }
 
@@ -328,7 +328,7 @@ private:
 //===----------------------------------------------------------------------===//
 //
 // Generated shared objects expose collected stats through the plain C ABI
-// (ddr_stats_read) as a flat uint64_t array, so no C++ types cross the
+// (DDR_READ_STATS) as a flat uint64_t array, so no C++ types cross the
 // dlopen boundary. Layout:
 //   [0] rows (timeline rows; >= 1)     [1] steps recorded per row
 //   [2] NumWorkers                      [3] WallNs
@@ -410,7 +410,7 @@ inline bool unflattenStats(const uint64_t *Data, size_t N, RunStats &R) {
   return true;
 }
 
-// Strand lifecycle events cross the dlopen boundary (ddr_trace_read) as
+// Strand lifecycle events cross the dlopen boundary (DDR_READ_TRACE) as
 // their own flat array: [0] event count, then records of 5: strand, step,
 // kind, worker, ns.
 

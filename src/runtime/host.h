@@ -70,8 +70,7 @@ struct RunConfig {
   /// Which parallel substrate runs the supersteps when NumWorkers >= 1:
   /// Bsp (the paper's fresh-threads + shared work-list model) or Pooled
   /// (persistent StrandPool with intra-superstep block stealing; see
-  /// docs/SCHEDULING.md). Ignored by the sequential scheduler. Old native
-  /// .so files that predate the scheduler flag silently run Bsp.
+  /// docs/SCHEDULING.md). Ignored by the sequential scheduler.
   Scheduler Sched = Scheduler::Bsp;
   /// Per-superstep / per-worker telemetry (observe::Recorder).
   bool CollectStats = false;
@@ -88,8 +87,7 @@ struct RunConfig {
   bool CollectMetrics = false;
   /// Capture a 128-bit canonical state digest per superstep (entry 0 =
   /// post-initialize) for record/replay (docs/REPLAY.md); read back through
-  /// digestLog(). Native .so files older than ABI v7 degrade gracefully:
-  /// the run succeeds but digestLog() has no per-step entries.
+  /// digestLog().
   bool CollectDigests = false;
   /// Additionally retain the full canonicalized per-strand state behind
   /// every digest entry (memory: entries x strands x (1 + slots) words).
@@ -103,7 +101,7 @@ struct RunConfig {
   RunPolicy Policy;
   /// Request-trace context of the enclosing job (docs/TRACING.md). Host-side
   /// only: it never crosses the dlopen ABI (native_load.cpp translates
-  /// RunConfig into flat C calls), so engines ignore it; the serve daemon
+  /// RunConfig into a ddr_run_args), so engines ignore it; the serve daemon
   /// reads it back out of the config it passed in to stamp run spans and
   /// log records with the job's trace id.
   tracing::TraceContext Trace;
@@ -195,10 +193,6 @@ public:
   /// counted by numStable()/numDead() and contribute zeros to grid outputs.
   virtual size_t numFaulted() const { return 0; }
 };
-
-/// Factory signature exported (extern "C") by generated shared objects as
-/// the symbol "diderot_create_instance".
-using CreateInstanceFn = ProgramInstance *(*)();
 
 } // namespace diderot::rt
 

@@ -18,13 +18,15 @@
 ///  * ProgramBase<Derived, Real>: CRTP base implementing strand storage,
 ///    input/output plumbing, and the C ABI entry points' behavior, reusing
 ///    the bulk-synchronous schedulers from runtime/scheduler.h
-///  * the C ABI declaration (ddr_* functions) the driver binds via dlsym
+///  * through runtime/ddr_abi.h, the C ABI layout (ddr_run_args,
+///    ddr_read_kind) the generated ddr_* functions and the loader share
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DIDEROT_RUNTIME_NATIVE_PRELUDE_H
 #define DIDEROT_RUNTIME_NATIVE_PRELUDE_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -36,6 +38,7 @@
 
 #include "observe/digest.h"
 #include "observe/profiler.h"
+#include "runtime/ddr_abi.h"
 #include "runtime/scheduler.h"
 #include "tensor/eigen_raw.h"
 
@@ -350,7 +353,14 @@ struct OutputMeta {
 ///   int64_t iterLo(int k); int64_t iterHi(int k);
 ///   void initStrand(const int64_t *iters, Strand &s);
 ///   ExitKind update(Strand &s);
-///   void stabilizeStrand(Strand &s);                 // optional hook
+///   void stabilizeStrand(Strand &s);
+///   ExitKind updateProf(Strand &s, uint64_t *shard); // profiled twins
+///   void stabilizeStrandProf(Strand &s, uint64_t *shard);
+///   static constexpr int ProfMaxLine;
+///   static std::vector<uint64_t> profMap();          // DDR_READ_PROF_MAP
+///   bool strandFinite(const Strand &s);              // strict-fp predicate
+///   static constexpr int NumStateSlots;              // digest view
+///   double strandSlotValue(const Strand &s, int slot);
 ///   double outputComp(const Strand &s, int out, int comp);
 template <typename Derived, typename Real, typename StrandT>
 class ProgramBase {
@@ -451,80 +461,21 @@ public:
     return true;
   }
 
-  /// Run flags of the ddr_run_flags C ABI entry point. Stats implies the
-  /// PR-1 recorder; Profile selects the instrumented update bodies
-  /// (updateProf / stabilizeStrandProf) so the clean path stays
-  /// zero-overhead; Lifecycle records per-strand start/stabilize/die events
-  /// (and implies stats collection, which carries them).
-  static constexpr int RunStatsFlag = 1;
-  static constexpr int RunProfileFlag = 2;
-  static constexpr int RunLifecycleFlag = 4;
-  /// Arm the metrics registry (runtime ABI v5): per-worker sharded counter /
-  /// histogram cells, scraped live through ddr_metrics_read. Implies stats
-  /// collection like Lifecycle does.
-  static constexpr int RunMetricsFlag = 8;
-  /// Run parallel supersteps on the persistent work-stealing StrandPool
-  /// (runtime ABI v6) instead of the per-run BSP thread set. Ignored when
-  /// Workers <= 0 (sequential). Hosts probing an older .so that predates
-  /// this flag fall back to BSP on their side.
-  static constexpr int RunPooledFlag = 16;
-  /// Record a canonical state digest per superstep (runtime ABI v7; see
-  /// observe/digest.h): entry 0 post-initialize, entry k after superstep k.
-  /// Read back through ddr_digest_read. Hosts probing a pre-v7 .so see no
-  /// ddr_digest_read symbol and degrade to final-output-only digests.
-  static constexpr int RunDigestFlag = 32;
-  /// Additionally retain the full canonicalized per-strand state behind
-  /// every digest entry (implies RunDigestFlag); read back through
-  /// ddr_state_read. Memory scales with entries x strands x slots.
-  static constexpr int RunStateLogFlag = 64;
-
-  /// The highest DSL source line the generated profiled code instruments
-  /// (Derived::ProfMaxLine when the emitter provided one).
-  static constexpr int profMaxLine() {
-    if constexpr (requires { Derived::ProfMaxLine; })
-      return Derived::ProfMaxLine;
-    else
-      return 0;
-  }
-
-  /// Number of scalar state slots the emitter exposed for digesting
-  /// (Derived::NumStateSlots). Hand-written Derived classes in tests that
-  /// predate v7 have none — their digests cover status bytes only.
-  static constexpr int numStateSlots() {
-    if constexpr (requires { Derived::NumStateSlots; })
-      return Derived::NumStateSlots;
-    else
-      return 0;
-  }
-
-  /// Slot \p K of strand \p S as a double (Derived::strandSlotValue — the
-  /// emitter's switch over the scalarized members, params first then state
-  /// vars, matching the interpreter's flattening order).
-  double slotValue(const StrandT &S, int K) {
-    if constexpr (requires(Derived &D, const StrandT &St) {
-                    D.strandSlotValue(St, 0);
-                  })
-      return self().strandSlotValue(S, K);
-    else {
-      (void)S;
-      (void)K;
-      return 0.0;
-    }
-  }
-
   /// Append one canonical digest entry (observe/digest.h) over the current
   /// Status vector and strand states; with the state log armed, also retain
-  /// the canonicalized per-strand words.
+  /// the canonicalized per-strand words. Slots come from
+  /// Derived::strandSlotValue — the emitter's switch over the scalarized
+  /// members, params first then state vars, matching the interpreter's
+  /// flattening order.
   void captureDigestEntry() {
     observe::StrandStateHasher H;
-    const int NS = numStateSlots();
     for (size_t S = 0; S < Strands.size(); ++S) {
       uint8_t St = static_cast<uint8_t>(Status[S]);
       H.status(St);
       if (DLog.HasStates)
         DLog.Status.push_back(St);
-      for (int K = 0; K < NS; ++K) {
-        double V = slotValue(Strands[S], K);
+      for (int K = 0; K < Derived::NumStateSlots; ++K) {
+        double V = self().strandSlotValue(Strands[S], K);
         H.slot(V);
         if (DLog.HasStates)
           DLog.Slots.push_back(observe::canonicalBits(V));
@@ -533,84 +484,73 @@ public:
     DLog.Entries.push_back(H.digest());
   }
 
-  int run(int MaxSteps, int Workers, int BlockSize, int Collect) {
-    return runFlags(MaxSteps, Workers, BlockSize,
-                    Collect ? RunStatsFlag : 0);
-  }
-
-  /// Install the fault-injection plan for the next runPolicy call (flat
-  /// observe::unflattenPlan layout). Returns false on a malformed buffer.
-  bool setFaultPlan(const uint64_t *Data, int64_t N) {
-    if (!observe::unflattenPlan(Data, static_cast<size_t>(N),
-                                PendingPolicy.Plan)) {
-      Error = "malformed fault plan";
-      return false;
-    }
-    return true;
-  }
-
-  /// The policied run entry point behind ddr_run_policy (runtime ABI v4):
-  /// arm the run policy, run, disarm. A plain ddr_run/ddr_run_flags call
-  /// never inherits a stale policy — the armed flag lives only for the
-  /// duration of this call.
-  int runPolicy(int MaxSteps, int Workers, int BlockSize, int Flags,
-                int64_t DeadlineNs, int64_t MaxFaults, int WatchdogSteps,
-                int StrictFp) {
-    PendingPolicy.DeadlineNs = DeadlineNs;
-    PendingPolicy.MaxFaults = MaxFaults;
-    PendingPolicy.WatchdogSteps = WatchdogSteps;
-    PendingPolicy.StrictFp = StrictFp != 0;
-    PolicyArmed = true;
-    int Steps = runFlags(MaxSteps, Workers, BlockSize, Flags);
-    PolicyArmed = false;
-    PendingPolicy = rt::RunPolicy();
-    return Steps;
-  }
-
-  int runFlags(int MaxSteps, int Workers, int BlockSize, int Flags) {
+  /// The body of ddr_run: run supersteps under \p A's scheduler, collectors
+  /// and policy. Returns the superstep count, or -1 with Error set.
+  int run(const ddr_run_args &A) {
     if (!Initialized) {
       Error = "run() before initialize()";
       return -1;
     }
-    const bool Lifecycle = Flags & RunLifecycleFlag;
-    const bool Metrics = Flags & RunMetricsFlag;
-    const bool Collect = (Flags & RunStatsFlag) || Lifecycle || Metrics;
-    const bool Profile = Flags & RunProfileFlag;
-    const bool Digest = Flags & (RunDigestFlag | RunStateLogFlag);
-    const rt::Scheduler Sched = (Flags & RunPooledFlag)
+    rt::RunPolicy Policy;
+    Policy.DeadlineNs = A.deadline_ns;
+    Policy.MaxFaults = A.max_faults;
+    Policy.WatchdogSteps = A.watchdog_steps;
+    Policy.StrictFp = A.strict_fp != 0;
+    if (A.fault_plan_words < 0 ||
+        (A.fault_plan &&
+         !observe::unflattenPlan(A.fault_plan,
+                                 static_cast<size_t>(A.fault_plan_words),
+                                 Policy.Plan))) {
+      Error = "malformed fault plan";
+      return -1;
+    }
+    const int Workers = A.workers;
+    const bool Collect = A.stats || A.lifecycle || A.metrics;
+    const bool Profile = A.profile;
+    const rt::Scheduler Sched = A.scheduler == DDR_SCHED_POOLED
                                     ? rt::Scheduler::Pooled
                                     : rt::Scheduler::Bsp;
     if (Profile)
-      Prof.start(Workers <= 0 ? 1 : Workers, profMaxLine());
+      Prof.start(Workers <= 0 ? 1 : Workers, Derived::ProfMaxLine);
     observe::Recorder *R = Collect ? &Rec : nullptr;
-    Rec.start(Workers <= 0 ? 0 : Workers, Lifecycle, Metrics);
-    rt::RunControl Ctl(PolicyArmed ? PendingPolicy : rt::RunPolicy());
-    rt::RunControl *CtlP =
-        PolicyArmed && Ctl.policy().active() ? &Ctl : nullptr;
-    const bool StrictFp = CtlP && Ctl.policy().StrictFp;
+    Rec.start(Workers <= 0 ? 0 : Workers, A.lifecycle, A.metrics);
+    rt::RunControl Ctl(Policy);
+    rt::RunControl *CtlP = Policy.active() ? &Ctl : nullptr;
+    const bool StrictFp = Policy.StrictFp;
     DLog.clear(); // stale digests must not outlive a non-digest run
     rt::StepHook Hook;
     const rt::StepHook *HookP = nullptr;
-    if (Digest) {
+    if (A.digests || A.state_log) {
       DLog.NumStrands = static_cast<int64_t>(Strands.size());
-      DLog.NumSlots = numStateSlots();
-      DLog.HasStates = Flags & RunStateLogFlag;
+      DLog.NumSlots = Derived::NumStateSlots;
+      DLog.HasStates = A.state_log != 0;
       captureDigestEntry(); // entry 0: post-initialize state
       Hook = [this](int) { captureDigestEntry(); };
       HookP = &Hook;
     }
-    int Steps;
-    if (Profile) {
+    // One update body, instantiated once per profiled tag: only the
+    // profiled instantiation touches the Profiler, so the clean path stays
+    // zero-overhead.
+    auto RunWith = [&](auto Profiled) {
       auto Update = [this, CtlP, StrictFp](size_t I, int W) -> StrandStatus {
-        uint64_t *P = Prof.shard(W);
-        ExitKind K = self().updateProf(Strands[I], P);
+        uint64_t *P = nullptr;
+        ExitKind K;
+        if constexpr (decltype(Profiled)::value) {
+          P = Prof.shard(W);
+          K = self().updateProf(Strands[I], P);
+        } else {
+          K = self().update(Strands[I]);
+        }
         StrandStatus Ret = StrandStatus::Dead;
         switch (K) {
         case ExitKind::Continue:
           Ret = StrandStatus::Active;
           break;
         case ExitKind::Stabilize:
-          self().stabilizeStrandProf(Strands[I], P);
+          if constexpr (decltype(Profiled)::value)
+            self().stabilizeStrandProf(Strands[I], P);
+          else
+            self().stabilizeStrand(Strands[I]);
           Ret = StrandStatus::Stable;
           break;
         case ExitKind::Die:
@@ -626,43 +566,14 @@ public:
         }
         return Ret;
       };
-      Steps = Workers <= 0
-                  ? rt::runSequential(Status, Update, MaxSteps, R, CtlP,
-                                      HookP)
-                  : rt::runScheduled(Sched, Status, Update, MaxSteps,
-                                     Workers, BlockSize, R, CtlP, HookP);
-    } else {
-      auto Update = [this, CtlP, StrictFp](size_t I, int W) -> StrandStatus {
-        ExitKind K = self().update(Strands[I]);
-        StrandStatus Ret = StrandStatus::Dead;
-        switch (K) {
-        case ExitKind::Continue:
-          Ret = StrandStatus::Active;
-          break;
-        case ExitKind::Stabilize:
-          self().stabilizeStrand(Strands[I]);
-          Ret = StrandStatus::Stable;
-          break;
-        case ExitKind::Die:
-          Ret = StrandStatus::Dead;
-          break;
-        }
-        if (StrictFp && Ret != StrandStatus::Dead &&
-            !self().strandFinite(Strands[I])) {
-          CtlP->recordFault(W, static_cast<uint64_t>(I),
-                            rt::FaultKind::NonFinite,
-                            "strand state is not finite");
-          return StrandStatus::Faulted;
-        }
-        (void)W;
-        return Ret;
-      };
-      Steps = Workers <= 0
-                  ? rt::runSequential(Status, Update, MaxSteps, R, CtlP,
-                                      HookP)
-                  : rt::runScheduled(Sched, Status, Update, MaxSteps,
-                                     Workers, BlockSize, R, CtlP, HookP);
-    }
+      return Workers <= 0
+                 ? rt::runSequential(Status, Update, A.max_steps, R, CtlP,
+                                     HookP)
+                 : rt::runScheduled(Sched, Status, Update, A.max_steps,
+                                    Workers, A.block_size, R, CtlP, HookP);
+    };
+    const int Steps = Profile ? RunWith(std::true_type{})
+                              : RunWith(std::false_type{});
     if (CtlP)
       Rec.countFault(static_cast<uint64_t>(Ctl.faultCount()));
     if (Collect)
@@ -688,62 +599,48 @@ public:
     return Steps;
   }
 
-  /// Flatten the stats of the last collected run into \p Out (see
-  /// observe::flattenStats for the layout). With Out == nullptr returns the
-  /// required word count; otherwise writes at most \p Cap words and returns
-  /// the number written.
-  int64_t readStats(uint64_t *Out, int64_t Cap) const {
-    return copyFlat(observe::flattenStats(Stats), Out, Cap);
+  /// The body of ddr_read: flatten the \p Kind snapshot (ddr_read_kind) and
+  /// copy it into \p Out only when it fits \p Cap words. Returns the word
+  /// count the snapshot needs, or -1 with Error set for an unknown kind.
+  /// DDR_READ_METRICS alone is valid concurrently with run(): it reads only
+  /// the merged atomics the coordinator publishes at superstep barriers,
+  /// which is what makes live `GET /metrics` scrapes of a native run
+  /// race-free.
+  int64_t read(int Kind, uint64_t *Out, int64_t Cap) {
+    switch (Kind) {
+    case DDR_READ_COUNTS: {
+      uint64_t Stable = 0, Dead = 0, Faulted = 0;
+      for (StrandStatus S : Status) {
+        Stable += S == StrandStatus::Stable;
+        Dead += S == StrandStatus::Dead;
+        Faulted += S == StrandStatus::Faulted;
+      }
+      return copyFlat({static_cast<uint64_t>(LastOutcome), Strands.size(),
+                       Stable, Dead, Faulted},
+                      Out, Cap);
+    }
+    case DDR_READ_STATS:
+      return copyFlat(observe::flattenStats(Stats), Out, Cap);
+    case DDR_READ_TRACE:
+      return copyFlat(observe::flattenEvents(Stats), Out, Cap);
+    case DDR_READ_PROF:
+      return copyFlat(observe::flattenProfile(ProfData, /*Sites=*/false), Out,
+                      Cap);
+    case DDR_READ_PROF_MAP:
+      return copyFlat(Derived::profMap(), Out, Cap);
+    case DDR_READ_METRICS:
+      return copyFlat(observe::flattenMetrics(Rec.metricsData()), Out, Cap);
+    case DDR_READ_FAULTS:
+      return copyFlat(observe::flattenFaults(LastFaults), Out, Cap);
+    case DDR_READ_DIGEST:
+      return copyFlat(observe::flattenDigests(DLog), Out, Cap);
+    case DDR_READ_STATE:
+      return DLog.HasStates ? copyFlat(observe::flattenStates(DLog), Out, Cap)
+                            : 0;
+    }
+    Error = "unknown ddr_read kind " + std::to_string(Kind);
+    return -1;
   }
-
-  /// Flatten the source-level profile counters of the last profiled run
-  /// (observe::flattenProfile layout; same null/size protocol as readStats).
-  int64_t readProf(uint64_t *Out, int64_t Cap) const {
-    return copyFlat(observe::flattenProfile(ProfData, /*Sites=*/false), Out,
-                    Cap);
-  }
-
-  /// Flatten the metrics registry (observe::flattenMetrics layout; same
-  /// null/size protocol as readStats). Unlike readStats this is valid to
-  /// call concurrently with runFlags: the snapshot reads only the merged
-  /// atomics the coordinator publishes at superstep barriers, which is what
-  /// makes live `GET /metrics` scrapes of a native run race-free.
-  int64_t readMetrics(uint64_t *Out, int64_t Cap) const {
-    return copyFlat(observe::flattenMetrics(Rec.metricsData()), Out, Cap);
-  }
-
-  /// Flatten the strand lifecycle events of the last collected run
-  /// (observe::flattenEvents layout; same null/size protocol as readStats).
-  int64_t readEvents(uint64_t *Out, int64_t Cap) const {
-    return copyFlat(observe::flattenEvents(Stats), Out, Cap);
-  }
-
-  /// Flatten the fault records of the last run (observe::flattenFaults
-  /// layout; same null/size protocol as readStats). Messages are read
-  /// per-index through faultMsg.
-  int64_t readFaults(uint64_t *Out, int64_t Cap) const {
-    return copyFlat(observe::flattenFaults(LastFaults), Out, Cap);
-  }
-
-  /// Flatten the digest stream of the last digest-armed run
-  /// (observe::flattenDigests layout; same null/size protocol as
-  /// readStats). Empty stream when the last run did not record.
-  int64_t readDigests(uint64_t *Out, int64_t Cap) const {
-    return copyFlat(observe::flattenDigests(DLog), Out, Cap);
-  }
-
-  /// Flatten the per-strand state log of the last state-log-armed run
-  /// (observe::flattenStates layout). Returns 0 when the last run recorded
-  /// digests only (or nothing) — hosts treat < 3 words as absent.
-  int64_t readStates(uint64_t *Out, int64_t Cap) const {
-    if (!DLog.HasStates)
-      return 0;
-    return copyFlat(observe::flattenStates(DLog), Out, Cap);
-  }
-
-  /// Digest log of the last digest-armed run (tests linking the prelude
-  /// directly read it here; the C ABI goes through readDigests/readStates).
-  const observe::DigestLog &digestLog() const { return DLog; }
 
   /// Message text of fault \p I of the last run, or null when out of range.
   /// The pointer stays valid until the next run.
@@ -753,9 +650,6 @@ public:
     return LastFaults[static_cast<size_t>(I)].Message.c_str();
   }
 
-  /// observe::RunOutcome of the last run, as an int for the C ABI.
-  int lastOutcome() const { return LastOutcome; }
-
   int outputDims(int64_t *Dims, int MaxD) const {
     if (Derived::IsGrid) {
       int N = std::min<int>(MaxD, static_cast<int>(GridDims.size()));
@@ -764,7 +658,8 @@ public:
       return static_cast<int>(GridDims.size());
     }
     if (MaxD >= 1)
-      Dims[0] = static_cast<int64_t>(numStable());
+      Dims[0] = static_cast<int64_t>(
+          std::count(Status.begin(), Status.end(), StrandStatus::Stable));
     return 1;
   }
 
@@ -803,51 +698,12 @@ public:
     return Written;
   }
 
-  size_t numStrands() const { return Strands.size(); }
-  size_t numStable() const {
-    size_t N = 0;
-    for (StrandStatus S : Status)
-      N += S == StrandStatus::Stable;
-    return N;
-  }
-  size_t numDead() const {
-    size_t N = 0;
-    for (StrandStatus S : Status)
-      N += S == StrandStatus::Dead;
-    return N;
-  }
-  size_t numFaulted() const {
-    size_t N = 0;
-    for (StrandStatus S : Status)
-      N += S == StrandStatus::Faulted;
-    return N;
-  }
-
-  /// Default stabilize hook (overridden when the strand has one).
-  void stabilizeStrand(StrandT &) {}
-
-  /// Default strict-fp predicate: the emitter overrides this with a check
-  /// over every Real-typed strand slot; state layouts with no Real slots
-  /// (or old generated code) are vacuously finite.
-  bool strandFinite(const StrandT &) const { return true; }
-
-  /// Default profiled bodies: fall back to the clean ones. The emitter
-  /// overrides both with instrumented copies when profiling support is
-  /// compiled in, so old generated code keeps loading (ddr_run_flags simply
-  /// yields empty profiles).
-  ExitKind updateProf(StrandT &S, uint64_t *) { return self().update(S); }
-  void stabilizeStrandProf(StrandT &S, uint64_t *) {
-    self().stabilizeStrand(S);
-  }
-
 protected:
   static int64_t copyFlat(const std::vector<uint64_t> &Flat, uint64_t *Out,
                           int64_t Cap) {
-    if (!Out)
-      return static_cast<int64_t>(Flat.size());
-    int64_t N = std::min<int64_t>(Cap, static_cast<int64_t>(Flat.size()));
-    for (int64_t I = 0; I < N; ++I)
-      Out[I] = Flat[static_cast<size_t>(I)];
+    const int64_t N = static_cast<int64_t>(Flat.size());
+    if (Out && N <= Cap)
+      std::copy(Flat.begin(), Flat.end(), Out);
     return N;
   }
 
@@ -860,8 +716,6 @@ protected:
                            ///< scrape the registry mid-run
   observe::Profiler Prof;
   observe::ProfileData ProfData; ///< profile of the last profiled run
-  rt::RunPolicy PendingPolicy;   ///< staged by setFaultPlan/runPolicy
-  bool PolicyArmed = false;      ///< true only inside runPolicy
   std::vector<observe::StrandFault> LastFaults; ///< faults of the last run
   int LastOutcome = 0; ///< observe::RunOutcome of the last run
   observe::DigestLog DLog; ///< digest stream of the last digest-armed run

@@ -25,8 +25,7 @@ std::string defaultCacheDir() {
 }
 
 std::vector<CacheEntry> readCacheIndex(const std::string &Dir) {
-  // One parser for both layers: the loader's reader already handles v1
-  // (4-column) and v2 (integrity-carrying) rows.
+  // One parser for both layers: the loader's reader.
   std::vector<CacheEntry> Entries;
   for (codegen::CacheIndexEntry &E : codegen::readCacheIndexEntries(Dir)) {
     CacheEntry S;

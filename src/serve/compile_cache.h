@@ -53,7 +53,7 @@ struct CacheEntry {
   std::string Program;    ///< program name at compile time
   int64_t UnixMs = 0;     ///< when the host compile happened
   std::string CompilerId; ///< codegen::hostCompilerId() that built it
-  int64_t SoBytes = -1;   ///< artifact size at install; -1 = v1 row (unknown)
+  int64_t SoBytes = -1;   ///< artifact size at install
   std::string SoHash;     ///< 32-hex fnv1a128 of the .so; empty = unknown
   int64_t LastUsedMs = 0; ///< recency the LRU eviction policy uses
 };

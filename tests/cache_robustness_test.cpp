@@ -3,7 +3,7 @@
 // Part of the Diderot-C++ reproduction (PLDI 2012).
 //
 // codegen/cache.h maintenance layer against hostile on-disk state: index
-// round-trips, pre-v2 (4-column) rows, truncated/garbage index lines,
+// round-trips, short (4-column) rows, truncated/garbage index lines,
 // artifact verification against size + hash, quarantine of corrupt .so
 // files, and LRU eviction under a byte cap. Everything here works on
 // synthetic cache directories — no host compiles, no dlopen.
@@ -86,20 +86,14 @@ TEST(CacheIndex, MissingIndexIsEmptyNotAnError) {
   EXPECT_TRUE(readCacheIndexEntries(T.str()).empty());
 }
 
-TEST(CacheIndex, V1FourColumnRowsStillParse) {
+TEST(CacheIndex, FourColumnRowsAreSkipped) {
   TempCacheDir T;
   std::string K = fakeKey('b');
   {
     std::ofstream Out(T.Dir / cacheIndexFile());
     Out << K << "\tlegacy.diderot\t1700000000000\tg++ 13\n";
   }
-  auto Entries = readCacheIndexEntries(T.str());
-  ASSERT_EQ(Entries.size(), 1u);
-  EXPECT_EQ(Entries[0].Key, K);
-  EXPECT_EQ(Entries[0].Program, "legacy.diderot");
-  EXPECT_EQ(Entries[0].SoBytes, -1); // unverifiable, not corrupt
-  EXPECT_TRUE(Entries[0].SoHash.empty());
-  EXPECT_EQ(Entries[0].LastUsedMs, 1700000000000); // falls back to UnixMs
+  EXPECT_TRUE(readCacheIndexEntries(T.str()).empty());
 }
 
 TEST(CacheIndex, TruncatedAndGarbageLinesAreSkipped) {
@@ -109,7 +103,8 @@ TEST(CacheIndex, TruncatedAndGarbageLinesAreSkipped) {
     std::ofstream Out(T.Dir / cacheIndexFile());
     Out << "torn-line-without-tabs\n";
     Out << "shortkey\tprog\t1\tid\n"; // key is not 32 hex chars
-    Out << Good << "\tok.diderot\t1700000000000\tg++ 13\n";
+    Out << Good << "\tok.diderot\t1700000000000\tg++ 13\t5\t" << fakeKey('9')
+        << "\t1700000000000\n";
     Out << Good.substr(0, 30); // torn final line (crash mid-write of a
                                // pre-atomic-rename index)
   }
@@ -152,7 +147,7 @@ TEST(CacheVerify, UnverifiableWithoutARowOrWithAV1Row) {
   T.plantSo(K, "whatever");
   // No index row at all.
   EXPECT_EQ(verifyCacheArtifact(T.str(), K), ArtifactVerdict::Unverifiable);
-  // A v1 row (no size/hash columns).
+  // A 4-column row (no size/hash columns) is skipped: still no row.
   {
     std::ofstream Out(T.Dir / cacheIndexFile());
     Out << K << "\tprog\t1\tid\n";

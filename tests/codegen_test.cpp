@@ -7,6 +7,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <regex>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "driver/driver.h"
@@ -57,12 +60,29 @@ TEST(Codegen, StructuralElements) {
 
 TEST(Codegen, CApiExported) {
   std::string S = emit(Small);
-  for (const char *Sym :
-       {"ddr_create", "ddr_destroy", "ddr_set_input_scalars",
-        "ddr_set_input_image", "ddr_initialize", "ddr_run", "ddr_get_output",
-        "ddr_num_strands", "ddr_output_dims", "ddr_error"})
-    EXPECT_NE(S.find(Sym), std::string::npos) << Sym;
-  EXPECT_NE(S.find("extern \"C\""), std::string::npos);
+  size_t ExternC = S.find("extern \"C\" {");
+  ASSERT_NE(ExternC, std::string::npos);
+  // Every function the extern "C" block defines, by name.
+  std::set<std::string> Defined;
+  std::regex Def(R"(\n[a-z0-9_ ]+\*?\s*(ddr_[a-z_]+)\()");
+  std::string Block = S.substr(ExternC);
+  for (std::sregex_iterator It(Block.begin(), Block.end(), Def), End;
+       It != End; ++It)
+    Defined.insert((*It)[1]);
+  EXPECT_EQ(Defined,
+            (std::set<std::string>{
+                "ddr_abi_version", "ddr_create", "ddr_destroy", "ddr_error",
+                "ddr_set_input_scalars", "ddr_set_input_string",
+                "ddr_set_input_image", "ddr_initialize", "ddr_run",
+                "ddr_read", "ddr_fault_msg", "ddr_output_dims",
+                "ddr_get_output"}));
+  for (const char *Gone :
+       {"ddr_run_stats", "ddr_run_flags", "ddr_run_policy",
+        "ddr_set_fault_plan", "ddr_stats_read", "ddr_metrics_read",
+        "ddr_digest_read", "ddr_outcome", "ddr_num_strands",
+        "ddr_num_faulted", "ddr_num_outputs", "ddr_output_name",
+        "ddr_output_comps", "ddr_output_isint", "ddr_num_inputs"})
+    EXPECT_EQ(S.find(Gone), std::string::npos) << Gone;
 }
 
 TEST(Codegen, MetadataTables) {

@@ -1,11 +1,11 @@
 //===--- tests/metrics_test.cpp - metrics registry + exposition tests --------===//
 //
-// The v5 observability layer: log-linear bucket geometry, sharded histogram
-// merging, the flat wire format, Prometheus/JSON exposition, the v4
-// fallback (deriveMetrics), live scraping concurrently with a parallel run
-// (also compiled into the TSan suite as metrics_tsan), the embedded HTTP
-// endpoint, the RSS sampler, interp/native counter parity, and golden-file
-// snapshots of both exposition formats.
+// The metrics layer: log-linear bucket geometry, sharded histogram merging,
+// the flat wire format, Prometheus/JSON exposition, live scraping
+// concurrently with a parallel run (also compiled into the TSan suite as
+// metrics_tsan), the embedded HTTP endpoint, the RSS sampler, interp/native
+// counter parity, live native scrapes, and golden-file snapshots of both
+// exposition formats.
 //
 //===----------------------------------------------------------------------===//
 
@@ -135,7 +135,7 @@ TEST(Histogram, EmptySnapshotReportsZeroMin) {
 }
 
 //===----------------------------------------------------------------------===//
-// Flat wire format (ddr_metrics_read, ABI v5)
+// Flat wire format (ddr_read DDR_READ_METRICS)
 //===----------------------------------------------------------------------===//
 
 MetricsData sampleData() {
@@ -247,37 +247,6 @@ TEST(RecorderMetrics, UnarmedRunCarriesNoMetrics) {
   EXPECT_EQ(R.Metrics.Hists[MhStepWallNs].Count, 0u);
   // Counter views still back the legacy totals.
   EXPECT_EQ(R.Totals.Stabilized, 50u);
-}
-
-//===----------------------------------------------------------------------===//
-// The v4 fallback: metrics derived from spans
-//===----------------------------------------------------------------------===//
-
-TEST(DeriveMetrics, RebuildsCountersAndStepHistogramsFromSpans) {
-  // Stats-collecting run without the registry armed — what a v4 .so yields.
-  std::vector<rt::StrandStatus> S(200, rt::StrandStatus::Active);
-  std::vector<std::atomic<int>> Count(S.size());
-  Recorder Rec;
-  Rec.start(2);
-  int Steps = rt::runParallel(
-      S,
-      [&](size_t I) {
-        return ++Count[I] > static_cast<int>(I) % 4 ? rt::StrandStatus::Stable
-                                                    : rt::StrandStatus::Active;
-      },
-      100, 2, 64, &Rec);
-  rt::RunStats R = Rec.take(Steps, 2);
-  ASSERT_FALSE(R.Metrics.Enabled);
-
-  MetricsData D = deriveMetrics(R);
-  EXPECT_TRUE(D.Enabled);
-  EXPECT_EQ(D.Counters[McUpdated], R.Totals.Updated);
-  EXPECT_EQ(D.Counters[McBlocksClaimed], R.Totals.BlocksClaimed);
-  EXPECT_EQ(D.Counters[McSupersteps], R.Supersteps.size());
-  EXPECT_EQ(D.Hists[MhStepWallNs].Count, R.Supersteps.size());
-  EXPECT_EQ(D.Hists[MhUpdatesPerStep].Sum, R.Totals.Updated);
-  // Spans carry no per-claim timing: that histogram must stay empty.
-  EXPECT_EQ(D.Hists[MhClaimNs].Count, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -583,6 +552,61 @@ TEST(EngineMetrics, NativeCountersMatchInterpExactly) {
         << counterDesc(I).JsonName;
   EXPECT_EQ(A.Metrics.Hists[MhUpdatesPerStep].Sum,
             B.Metrics.Hists[MhUpdatesPerStep].Sum);
+}
+
+// A live native scrape copies the registry only when the whole snapshot
+// fits the host's buffer, and the host retries until it does, so a barrier
+// that adds a histogram bucket between two reads cannot truncate it: once
+// the first superstep has published, every scrape reports Enabled.
+TEST(EngineMetrics, NativeLiveScrapesStayEnabledDuringA4WorkerRun) {
+  // Strand i runs (i % 97) + 1 supersteps, so per-step counts keep landing
+  // in new histogram buckets as the population drains.
+  const char *Src = R"(
+strand S (int i) {
+  int n = 0;
+  output real out = 0.0;
+  update {
+    n += 1;
+    out = real(n);
+    if (n > i - (i / 97) * 97) stabilize;
+  }
+}
+initially [ S(i) | i in 0 .. 99999 ];
+)";
+  CompileOptions Opts;
+  Opts.Eng = Engine::Native;
+  Result<CompiledProgram> CP = compileString(Src, Opts, "live_scrape");
+  ASSERT_TRUE(CP.isOk()) << CP.message();
+  Result<std::unique_ptr<rt::ProgramInstance>> I = CP->instantiate();
+  ASSERT_TRUE(I.isOk()) << I.message();
+  ASSERT_TRUE((*I)->initialize().isOk());
+  rt::RunConfig RC;
+  RC.MaxSupersteps = 200;
+  RC.NumWorkers = 4;
+  RC.BlockSize = 64;
+  RC.CollectMetrics = true;
+  std::atomic<bool> Done{false};
+  Result<rt::RunStats> R = Result<rt::RunStats>::error("not run");
+  std::thread Runner([&] {
+    R = (*I)->run(RC);
+    Done.store(true);
+  });
+  int Published = 0, Dropped = 0;
+  auto Scrape = [&] {
+    MetricsData D = (*I)->liveMetrics();
+    if (D.Enabled && D.Counters[McSupersteps] >= 1)
+      ++Published;
+    else if (Published > 0)
+      ++Dropped;
+  };
+  while (!Done.load())
+    Scrape();
+  Runner.join();
+  Scrape(); // the registry stays published after the run
+  ASSERT_TRUE(R.isOk()) << R.message();
+  EXPECT_EQ(R->Steps, 97);
+  EXPECT_GT(Published, 0);
+  EXPECT_EQ(Dropped, 0) << "scrapes after superstep 1 came back disabled";
 }
 
 TEST(EngineMetrics, StatsJsonEmbedsTheRegistry) {

@@ -365,7 +365,7 @@ TEST(Profile, NativeSourceMapReportsStaticSites) {
   for (const observe::ProfileLine &L : P.Lines)
     for (int C = 0; C < observe::NumProfClasses; ++C)
       Sites += L.Sites[C];
-  EXPECT_GT(Sites, 0u) << "ddr_prof_map reported no instrumented sites";
+  EXPECT_GT(Sites, 0u) << "DDR_READ_PROF_MAP reported no instrumented sites";
 }
 
 //===----------------------------------------------------------------------===//

@@ -610,7 +610,8 @@ TEST(CompileCache, ReadCacheIndexSkipsMalformedLines) {
     std::string Key(32, 'a');
     std::ofstream Out(std::filesystem::path(Dir) /
                       codegen::cacheIndexFile());
-    Out << Key << "\tiso\t1700000000000\tg++ host=12\n";
+    Out << Key << "\tiso\t1700000000000\tg++ host=12\t5\t" << Key
+        << "\t1700000000000\n";
     Out << "short-key\tx\t0\tcc\n"; // skipped: key not 32 hex chars
     Out << "not a tsv line\n";      // skipped: too few columns
   }
