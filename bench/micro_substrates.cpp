@@ -274,16 +274,33 @@ void BM_SchedulerParallelMetrics(benchmark::State &State) {
 }
 BENCHMARK(BM_SchedulerParallelMetrics);
 
-void BM_SchedulerPooled(benchmark::State &State) {
-  // Same balanced workload as BM_SchedulerParallel, on the persistent
-  // work-stealing pool: what block stealing + parked threads cost (or
-  // save) when there is no imbalance to reclaim.
+/// Strand I's work in the imbalanced benchmark: ~0 for the first blocks, a
+/// few microseconds for the last, a linear cost ramp across the index
+/// space. Out of line, so the scheduler it is inlined into cannot change
+/// its code: inlined into the worker loop, GCC 12 kept the accumulator in
+/// a general register across the loop and the benchmark ran ~2.5x slower
+/// for reasons that had nothing to do with scheduling.
+[[gnu::noinline]] void rampWork(size_t I) {
+  double Acc = 0.0;
+  for (size_t K = 0; K < I / 16; ++K)
+    Acc += static_cast<double>(K) * 1e-9;
+  benchmark::DoNotOptimize(Acc);
+}
+
+/// Imbalanced strand cost: work grows with the strand index, so the last
+/// blocks carry several times the work of the first. Workers that drain
+/// their own deque steal the heavy tail's blocks instead of idling at the
+/// barrier. Only meaningful with real cores to spread across — on a
+/// single-core machine it measures OS timeslicing, not the scheduler.
+void BM_SchedulerParallelImbalanced(benchmark::State &State) {
+  const size_t N = 16384;
   for (auto _ : State) {
-    std::vector<rt::StrandStatus> S(16384, rt::StrandStatus::Active);
+    std::vector<rt::StrandStatus> S(N, rt::StrandStatus::Active);
     std::vector<std::atomic<int>> Count(S.size());
-    int Steps = rt::runPooled(
+    int Steps = rt::runParallel(
         S,
         [&](size_t I) {
+          rampWork(I);
           return ++Count[I] >= 2 ? rt::StrandStatus::Stable
                                  : rt::StrandStatus::Active;
         },
@@ -291,49 +308,7 @@ void BM_SchedulerPooled(benchmark::State &State) {
     benchmark::DoNotOptimize(Steps);
   }
 }
-BENCHMARK(BM_SchedulerPooled);
-
-/// Imbalanced strand cost: work grows with the strand index, so the last
-/// blocks carry several times the work of the first. On bsp the fast
-/// workers idle at the barrier once the work-list drains; on the pool they
-/// steal the heavy tail's blocks. Run as a bsp/pooled pair under the same
-/// workload so the two substrates are directly comparable. The comparison
-/// is only meaningful with real cores to spread across — on a single-core
-/// machine both pairs measure OS timeslicing, not the schedulers (CPU
-/// time, which the console also reports, still favors the pool there).
-template <typename RunFn>
-void imbalancedScheduler(benchmark::State &State, RunFn Run) {
-  const size_t N = 16384;
-  for (auto _ : State) {
-    std::vector<rt::StrandStatus> S(N, rt::StrandStatus::Active);
-    std::vector<std::atomic<int>> Count(S.size());
-    int Steps = Run(S, [&](size_t I) {
-      // ~0 work for the first blocks, a few microseconds for the last:
-      // a linear cost ramp across the index space.
-      double Acc = 0.0;
-      for (size_t K = 0; K < I / 16; ++K)
-        Acc += static_cast<double>(K) * 1e-9;
-      benchmark::DoNotOptimize(Acc);
-      return ++Count[I] >= 2 ? rt::StrandStatus::Stable
-                             : rt::StrandStatus::Active;
-    });
-    benchmark::DoNotOptimize(Steps);
-  }
-}
-
-void BM_SchedulerParallelImbalanced(benchmark::State &State) {
-  imbalancedScheduler(State, [](auto &S, auto Update) {
-    return rt::runParallel(S, Update, 100, 4, 1024);
-  });
-}
 BENCHMARK(BM_SchedulerParallelImbalanced);
-
-void BM_SchedulerPooledImbalanced(benchmark::State &State) {
-  imbalancedScheduler(State, [](auto &S, auto Update) {
-    return rt::runPooled(S, Update, 100, 4, 1024);
-  });
-}
-BENCHMARK(BM_SchedulerPooledImbalanced);
 
 //===--- BENCH json capture ----------------------------------------------------===//
 

@@ -128,7 +128,10 @@ public:
   FnEmitter(const Module &M, const ir::Function &F, std::string Prefix,
             ExitEmitter OnExit, bool InGlobalInit, bool Profiled = false)
       : M(M), F(F), Prefix(std::move(Prefix)), OnExit(std::move(OnExit)),
-        InGlobalInit(InGlobalInit), Profiled(Profiled) {}
+        InGlobalInit(InGlobalInit), Profiled(Profiled),
+        Used(F.ValueTypes.size(), false) {
+    markUses(F.Body);
+  }
 
   /// Name of SSA value \p V.
   std::string name(ValueId V) const { return strf(Prefix, V); }
@@ -139,9 +142,10 @@ public:
                   const std::vector<std::string> &ParamInits) {
     assert(static_cast<int>(ParamInits.size()) == F.NumParams);
     for (int P = 0; P < F.NumParams; ++P)
-      line(OS, Indent,
-           strf("const ", cxxType(F.typeOf(P)), " ", name(P), " = ",
-                ParamInits[static_cast<size_t>(P)], ";"));
+      if (Used[static_cast<size_t>(P)])
+        line(OS, Indent,
+             strf("const ", cxxType(F.typeOf(P)), " ", name(P), " = ",
+                  ParamInits[static_cast<size_t>(P)], ";"));
   }
 
   void emitRegion(std::ostringstream &OS, int Indent, const ir::Region &R,
@@ -185,6 +189,18 @@ private:
   ExitEmitter OnExit;
   bool InGlobalInit;
   bool Profiled;
+  /// Values some instruction reads. Parameters and eigen components outside
+  /// this set are not declared at all, so the output compiles warning-free.
+  std::vector<bool> Used;
+
+  void markUses(const ir::Region &R) {
+    for (const Instr &I : R.Body) {
+      for (ValueId V : I.Operands)
+        Used[static_cast<size_t>(V)] = true;
+      for (const ir::Region &Sub : I.Regions)
+        markUses(Sub);
+    }
+  }
 
   static void line(std::ostringstream &OS, int Indent, const std::string &S) {
     OS << std::string(static_cast<size_t>(Indent) * 2, ' ') << S << "\n";
@@ -461,18 +477,20 @@ void FnEmitter::emitInstr(std::ostringstream &OS, int Indent, const Instr &I,
                                      "diderot::eigenvalsSym3(",
                             MV, ", ", LV, ");"));
       for (int K = 0; K < N; ++K)
-        line(OS, Indent,
-             strf("const Real ", name(I.Results[static_cast<size_t>(K)]),
-                  " = ", LV, "[", K, "];"));
+        if (Used[static_cast<size_t>(I.Results[static_cast<size_t>(K)])])
+          line(OS, Indent,
+               strf("const Real ", name(I.Results[static_cast<size_t>(K)]),
+                    " = ", LV, "[", K, "];"));
     } else {
       line(OS, Indent, strf("Real ", VV, "[", N * N, "];"));
       line(OS, Indent, strf(N == 2 ? "diderot::eigensystemSym2(" :
                                      "diderot::eigensystemSym3(",
                             MV, ", ", LV, ", ", VV, ");"));
       for (int K = 0; K < N * N; ++K)
-        line(OS, Indent,
-             strf("const Real ", name(I.Results[static_cast<size_t>(K)]),
-                  " = ", VV, "[", K, "];"));
+        if (Used[static_cast<size_t>(I.Results[static_cast<size_t>(K)])])
+          line(OS, Indent,
+               strf("const Real ", name(I.Results[static_cast<size_t>(K)]),
+                    " = ", VV, "[", K, "];"));
     }
     return;
   }
@@ -628,7 +646,7 @@ void ModuleEmitter::emitMetaTables(std::ostringstream &OS) {
     if (!M.State[I].IsOutput)
       continue;
     OS << "  {\"" << M.State[I].Name << "\", " << slotCount(M.State[I].Ty)
-       << ", " << (M.State[I].Ty.isInt() ? "true" : "false") << "},\n";
+       << "},\n";
   }
   OS << "};\n\n";
 }
@@ -897,15 +915,17 @@ void ModuleEmitter::emitProgClass(std::ostringstream &OS) {
   OS << "    default: return false;\n    }\n  }\n\n";
 
   // setString
-  OS << "  bool setString(int GIdx, const char *V) {\n    switch (GIdx) {\n";
+  std::string Cases;
   for (size_t GI = 0; GI < M.Globals.size(); ++GI) {
     const ir::GlobalVar &G = M.Globals[GI];
-    if (!G.IsInput || !G.Ty.isString())
-      continue;
-    OS << "    case " << GI << ": G." << globalField(M, static_cast<int>(GI))
-       << " = V; return true;\n";
+    if (G.IsInput && G.Ty.isString())
+      Cases += strf("    case ", GI, ": G.", globalField(M, static_cast<int>(GI)),
+                    " = V; return true;\n");
   }
-  OS << "    default: return false;\n    }\n  }\n\n";
+  // The value parameter stays unnamed when no input is a string.
+  OS << "  bool setString(int GIdx, const char *" << (Cases.empty() ? "" : "V")
+     << ") {\n    switch (GIdx) {\n"
+     << Cases << "    default: return false;\n    }\n  }\n\n";
 
   // setImage
   OS << "  bool setImage(int GIdx, int Dim, const int64_t *Sizes, int64_t "

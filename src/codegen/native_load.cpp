@@ -452,7 +452,6 @@ public:
     A.max_steps = C.MaxSupersteps;
     A.workers = C.NumWorkers;
     A.block_size = C.BlockSize;
-    A.scheduler = static_cast<int32_t>(C.Sched);
     A.stats = Collect;
     A.profile = C.CollectProfile;
     A.lifecycle = C.CollectLifecycle;

@@ -40,11 +40,9 @@ options:
   --input NAME=VALUE       set an input (scalars, v1,v2,... for vectors,
                            a .nrrd path or synth:GEN:SIZE for images;
                            GEN in {hand, vessels, flow, noise, portrait})
-  --workers N              worker threads (default 1)
-  --scheduler=bsp|pooled   parallel scheduler: bsp spawns fresh threads per
-                           run (the paper's model); pooled reuses a
-                           persistent work-stealing strand pool
-                           (docs/SCHEDULING.md; default bsp)
+  --workers N              worker threads of the persistent work-stealing
+                           strand pool; 0 runs the sequential loop
+                           (docs/SCHEDULING.md; default 1)
   --steps N                max supersteps (default 10000)
   --out FILE.nrrd          write the first output as NRRD (grid programs)
   --print-output NAME      print an output to stdout (text)
@@ -99,7 +97,6 @@ int main(int Argc, char **Argv) {
   bool Profile = false, TraceStrands = false, TimePasses = false;
   bool StrictFp = false, Strict = false;
   int Workers = 1, MaxSteps = 10000, Watchdog = 0;
-  rt::Scheduler Sched = rt::Scheduler::Bsp;
   long long DeadlineMs = 0, MaxFaults = -1;
   int MetricsPort = -1;
   std::string OutFile, PrintOutput, StatsOut, TraceOut, ProfileOut, EventsOut;
@@ -146,20 +143,6 @@ int main(int Argc, char **Argv) {
       Inputs.emplace_back(KV.substr(0, Eq), KV.substr(Eq + 1));
     } else if (Arg == "--workers" && A + 1 < Argc) {
       Workers = std::atoi(Argv[++A]);
-    } else if (startsWith(Arg, "--scheduler=")) {
-      if (!rt::parseSchedulerName(Arg.substr(12), Sched)) {
-        std::fprintf(stderr,
-                     "error: bad --scheduler '%s' (want bsp or pooled)\n",
-                     Arg.c_str() + 12);
-        return 1;
-      }
-    } else if (Arg == "--scheduler" && A + 1 < Argc) {
-      if (!rt::parseSchedulerName(Argv[++A], Sched)) {
-        std::fprintf(stderr,
-                     "error: bad --scheduler '%s' (want bsp or pooled)\n",
-                     Argv[A]);
-        return 1;
-      }
     } else if (Arg == "--steps" && A + 1 < Argc) {
       MaxSteps = std::atoi(Argv[++A]);
     } else if (Arg == "--out" && A + 1 < Argc) {
@@ -333,7 +316,6 @@ int main(int Argc, char **Argv) {
   rt::RunConfig RC;
   RC.MaxSupersteps = MaxSteps;
   RC.NumWorkers = Workers;
-  RC.Sched = Sched;
   RC.CollectStats = Stats || !StatsOut.empty() || !TraceOut.empty();
   RC.CollectProfile = Profile || !ProfileOut.empty();
   RC.CollectLifecycle = TraceStrands || !EventsOut.empty();

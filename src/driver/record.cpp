@@ -162,7 +162,6 @@ void FlightRecorder::armConfig(rt::RunConfig &C) {
   B.MaxSupersteps = C.MaxSupersteps;
   B.NumWorkers = C.NumWorkers;
   B.BlockSize = C.BlockSize;
-  B.SchedulerName = rt::schedulerName(C.Sched);
   B.DeadlineNs = C.Policy.DeadlineNs;
   B.MaxFaults = C.Policy.MaxFaults;
   B.WatchdogSteps = C.Policy.WatchdogSteps;
@@ -281,9 +280,6 @@ Result<ReplayReport> replayBundle(const std::string &Path,
   C.MaxSupersteps = B.MaxSupersteps;
   C.NumWorkers = B.NumWorkers;
   C.BlockSize = B.BlockSize;
-  if (!rt::parseSchedulerName(B.SchedulerName, C.Sched))
-    return RR::error(strf("bundle names unknown scheduler '", B.SchedulerName,
-                          "'"));
   C.Policy.DeadlineNs = B.DeadlineNs;
   C.Policy.MaxFaults = B.MaxFaults;
   C.Policy.WatchdogSteps = B.WatchdogSteps;
@@ -323,8 +319,8 @@ Result<ReplayReport> replayBundle(const std::string &Path,
   std::string T;
   T += strf("replay: program '", B.Program, "' recorded ", B.Outcome,
             " after ", B.Steps, " supersteps, ", B.NumStrands, " strands\n");
-  T += strf("  engine ", B.EngineNative ? "native" : "interp", ", scheduler ",
-            B.SchedulerName, ", workers ", B.NumWorkers, "\n");
+  T += strf("  engine ", B.EngineNative ? "native" : "interp", ", workers ",
+            B.NumWorkers, "\n");
   if (!B.GitSha.empty() || !B.CompilerId.empty())
     T += strf("  recorded by abi v", B.AbiVersion,
               B.GitSha.empty() ? "" : strf(", git ", B.GitSha.substr(0, 12)),

@@ -904,12 +904,8 @@ Result<rt::RunStats> InterpInstance::run(const rt::RunConfig &C) {
     Hook = [this](int) { captureDigestEntry(); };
     HookP = &Hook;
   }
-  int Steps = NumWorkers <= 0
-                  ? rt::runSequential(StatusVec, Update, MaxSupersteps, R,
-                                      CtlP, HookP)
-                  : rt::runScheduled(C.Sched, StatusVec, Update,
-                                     MaxSupersteps, NumWorkers, C.BlockSize,
-                                     R, CtlP, HookP);
+  int Steps = rt::runParallel(StatusVec, Update, MaxSupersteps, NumWorkers,
+                              C.BlockSize, R, CtlP, HookP);
   if (!FirstError.empty())
     return Result<rt::RunStats>::error(FirstError);
   if (Profiling) {

@@ -112,7 +112,7 @@ enum MetricCounterId : int {
   McBarrierWaits,   ///< barrier arrivals (2 per worker per superstep)
   McSupersteps,     ///< supersteps executed
   McFaults,         ///< strand faults trapped
-  McBlocksStolen,   ///< blocks taken from another worker's deque (pooled)
+  McBlocksStolen,   ///< blocks taken from another worker's deque
   McPoolParks,      ///< pool worker park events (one per worker per run)
   NumMetricCounters
 };
@@ -129,7 +129,8 @@ enum MetricGaugeId : int {
 enum MetricHistId : int {
   MhStepWallNs = 0, ///< superstep wall time (coordinator-observed), ns
   MhImbalanceNs,    ///< max-min per-worker span duration within a step, ns
-  MhClaimNs,        ///< work-list block claim (lock acquisition) latency, ns
+  MhClaimNs,        ///< work-list block claim latency (own deque, then
+                    ///< a steal scan), ns
   MhUpdatesPerStep, ///< strand updates executed per superstep
   NumMetricHists
 };
@@ -161,10 +162,9 @@ inline const MetricDesc &counterDesc(int Id) {
       {"diderot_strand_faults_total", "strand_faults_total",
        "Strand faults trapped by the runtime.", false},
       {"diderot_blocks_stolen_total", "blocks_stolen_total",
-       "Work-list blocks stolen from another worker's deque (pooled "
-       "scheduler).", false},
+       "Work-list blocks stolen from another worker's deque.", false},
       {"diderot_pool_parks_total", "pool_parks_total",
-       "Persistent-pool worker park events (one per worker per pooled "
+       "Persistent-pool worker park events (one per worker per parallel "
        "run).", false},
   };
   return Descs[Id];
@@ -194,7 +194,8 @@ inline const MetricDesc &histDesc(int Id) {
        "Spread (max - min) of per-worker span durations within a superstep.",
        true},
       {"diderot_worklist_claim_seconds", "worklist_claim_ns",
-       "Work-list block claim (lock acquisition) latency.", true},
+       "Work-list block claim latency (own deque, then a steal scan).",
+       true},
       {"diderot_strand_updates_per_superstep", "updates_per_superstep",
        "Strand updates executed per superstep.", false},
   };

@@ -120,7 +120,7 @@ void appendRunSpans(tracing::SpanTree &T, uint64_t RunSpanId,
 
 /// Attach one "pool" span under the run span \p RunSpanId covering
 /// [\p RunBeginNs, \p RunEndNs], carrying the persistent-pool counters of
-/// a pooled-scheduler run (blocks stolen, park events, pool thread count,
+/// a parallel run (blocks stolen, park events, pool thread count,
 /// worker count) as args. The numbers come from R.Metrics when the
 /// registry was armed; with metrics off the span still marks the run as
 /// pool-executed, with only the worker count attached.

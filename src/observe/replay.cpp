@@ -344,8 +344,7 @@ std::string manifestToJson(const ReplayBundle &B) {
   J += "  \"run\": {";
   J += strf("\"max_supersteps\": ", B.MaxSupersteps, ", ");
   J += strf("\"workers\": ", B.NumWorkers, ", ");
-  J += strf("\"block_size\": ", B.BlockSize, ", ");
-  J += strf("\"scheduler\": ", jstr(B.SchedulerName), "},\n");
+  J += strf("\"block_size\": ", B.BlockSize, "},\n");
   J += "  \"policy\": {";
   J += strf("\"deadline_ns\": ", B.DeadlineNs, ", ");
   J += strf("\"max_faults\": ", B.MaxFaults, ", ");
@@ -402,7 +401,6 @@ Status manifestFromJson(const std::string &Text, ReplayBundle &B) {
     B.MaxSupersteps = static_cast<int>(R->num("max_supersteps", 1));
     B.NumWorkers = static_cast<int>(R->num("workers", 0));
     B.BlockSize = static_cast<int>(R->num("block_size", 0));
-    B.SchedulerName = R->str("scheduler", "bsp");
   }
   if (const Json *P = Root.get("policy")) {
     B.DeadlineNs = P->num("deadline_ns", 0);

@@ -80,7 +80,6 @@ struct ReplayBundle {
   int MaxSupersteps = 1;
   int NumWorkers = 0;
   int BlockSize = 0;
-  std::string SchedulerName = "bsp";
 
   // RunPolicy. The fault-injection plan is part of the recording: an
   // injected fault is input, not noise — replaying a chaos-test job must

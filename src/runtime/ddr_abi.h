@@ -46,17 +46,13 @@ extern "C" {
 /** Version of this ABI. Part of every cache key, and checked by the loader
  *  against ddr_abi_version() right after dlopen: bump it whenever a
  *  symbol, a struct field, or a ddr_read layout changes. */
-enum { DdrAbiVersion = 8 };
-
-/** ddr_run_args.scheduler (rt::Scheduler). */
-enum { DDR_SCHED_BSP = 0, DDR_SCHED_POOLED = 1 };
+enum { DdrAbiVersion = 9 };
 
 /** Everything one ddr_run call needs. Collect fields are 0/1. */
 struct ddr_run_args {
   int32_t max_steps;
   int32_t workers;    /**< <= 0 selects the sequential scheduler */
   int32_t block_size; /**< strands per work-list block */
-  int32_t scheduler;  /**< DDR_SCHED_*; ignored when workers <= 0 */
   /* Observability layers (observe/): all off costs nothing. */
   uint8_t stats;
   uint8_t profile;

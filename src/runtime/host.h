@@ -64,14 +64,10 @@ struct OutputDesc {
 /// off.
 struct RunConfig {
   int MaxSupersteps = 1;
-  /// <= 0 selects the sequential scheduler; >= 1 the worker pool.
+  /// <= 0 selects the sequential scheduler; >= 1 the parallel scheduler on
+  /// that many workers of the persistent StrandPool (docs/SCHEDULING.md).
   int NumWorkers = 0;
   int BlockSize = DefaultBlockSize;
-  /// Which parallel substrate runs the supersteps when NumWorkers >= 1:
-  /// Bsp (the paper's fresh-threads + shared work-list model) or Pooled
-  /// (persistent StrandPool with intra-superstep block stealing; see
-  /// docs/SCHEDULING.md). Ignored by the sequential scheduler.
-  Scheduler Sched = Scheduler::Bsp;
   /// Per-superstep / per-worker telemetry (observe::Recorder).
   bool CollectStats = false;
   /// Source-level (line, op-class) counters (observe::Profiler); results are
@@ -134,8 +130,9 @@ public:
 
   /// Run bulk-synchronous supersteps until every strand is stable or dead,
   /// or \p MaxSupersteps elapse. \p NumWorkers <= 0 selects the sequential
-  /// scheduler (a plain loop nest); >= 1 uses the pthread-style worker pool
-  /// with that many workers (1P measures the scheduler's own overhead).
+  /// scheduler (a plain loop nest); >= 1 uses the parallel scheduler on
+  /// that many workers of the persistent pool (1P measures the scheduler's
+  /// own overhead).
   /// \p BlockSize is the work-list granularity (strands per block).
   ///
   /// The returned RunStats always carries the superstep count (Steps),

@@ -336,7 +336,6 @@ struct GlobalMeta {
 struct OutputMeta {
   const char *Name;
   int Comps;
-  bool IsInt;
 };
 
 /// CRTP base (StrandT passed separately because Derived is incomplete at
@@ -484,7 +483,7 @@ public:
     DLog.Entries.push_back(H.digest());
   }
 
-  /// The body of ddr_run: run supersteps under \p A's scheduler, collectors
+  /// The body of ddr_run: run supersteps on \p A's workers, collectors
   /// and policy. Returns the superstep count, or -1 with Error set.
   int run(const ddr_run_args &A) {
     if (!Initialized) {
@@ -507,9 +506,6 @@ public:
     const int Workers = A.workers;
     const bool Collect = A.stats || A.lifecycle || A.metrics;
     const bool Profile = A.profile;
-    const rt::Scheduler Sched = A.scheduler == DDR_SCHED_POOLED
-                                    ? rt::Scheduler::Pooled
-                                    : rt::Scheduler::Bsp;
     if (Profile)
       Prof.start(Workers <= 0 ? 1 : Workers, Derived::ProfMaxLine);
     observe::Recorder *R = Collect ? &Rec : nullptr;
@@ -566,11 +562,8 @@ public:
         }
         return Ret;
       };
-      return Workers <= 0
-                 ? rt::runSequential(Status, Update, A.max_steps, R, CtlP,
-                                     HookP)
-                 : rt::runScheduled(Sched, Status, Update, A.max_steps,
-                                    Workers, A.block_size, R, CtlP, HookP);
+      return rt::runParallel(Status, Update, A.max_steps, Workers,
+                             A.block_size, R, CtlP, HookP);
     };
     const int Steps = Profile ? RunWith(std::true_type{})
                               : RunWith(std::false_type{});

@@ -21,8 +21,13 @@
 /// updates strands until the work-list is empty. Barrier synchronization is
 /// used to coordinate the threads at the end of a super step."
 ///
-/// Both schedulers are templates over the update callable so the interpreter
-/// engine and compiled native programs share them.
+/// Two schedulers implement it: runSequential (the loop nest) and
+/// runParallel (the work-list of blocks, dealt into per-worker deques with
+/// block stealing, on a persistent process-wide thread pool). Both are
+/// templates over the update callable so the interpreter engine and
+/// compiled native programs share them, and both run each strand through
+/// the same detail::stepStrand body. docs/SCHEDULING.md has the design and
+/// the measurements behind it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,37 +78,6 @@ constexpr int DefaultBlockSize = 4096;
 /// barrier-ordered and safe to read without synchronization. Null (the
 /// default everywhere) costs one pointer test per superstep.
 using StepHook = std::function<void(int)>;
-
-/// Which substrate runs the supersteps. Bsp is the paper's model: a fresh
-/// thread set per run pulling blocks off one lock-guarded work-list.
-/// Pooled keeps the BSP semantics observable at superstep boundaries but
-/// executes on the process-wide persistent StrandPool, with per-worker
-/// deques and block stealing inside a superstep. The sequential scheduler
-/// is selected by NumWorkers <= 0, not here.
-enum class Scheduler : int {
-  Bsp = 0,
-  Pooled = 1,
-};
-
-/// The CLI / HTTP-header vocabulary ("--scheduler=bsp|pooled",
-/// "X-Diderot-Scheduler: pooled").
-inline const char *schedulerName(Scheduler S) {
-  return S == Scheduler::Pooled ? "pooled" : "bsp";
-}
-
-/// Parse the vocabulary above; returns false (Out untouched) on anything
-/// else so callers can report the bad value.
-inline bool parseSchedulerName(const std::string &Name, Scheduler &Out) {
-  if (Name == "bsp") {
-    Out = Scheduler::Bsp;
-    return true;
-  }
-  if (Name == "pooled") {
-    Out = Scheduler::Pooled;
-    return true;
-  }
-  return false;
-}
 
 /// Declarative limits on a run, threaded through both schedulers and both
 /// engines. The default-constructed policy is inert (active() is false) and
@@ -319,6 +293,54 @@ inline StrandStatus trappedUpdate(UpdateFn &Update, size_t I, int W,
   }
   return StrandStatus::Faulted;
 }
+
+/// One active strand's turn in superstep \p Step on worker \p W (timeline
+/// row W; the sequential loop is worker 0): the policy checks, the update
+/// (through the trap boundary when policied), the lifecycle events and the
+/// span counts. Both schedulers call this, so they cannot drift apart.
+/// Returns false, with the strand untouched, when the run must stop first.
+///
+/// Deadline amortization: deadlineExpired() costs a steady_clock read, so
+/// it runs once per 256 strands (\p PolicyTick, owned by the caller)
+/// instead of per strand. Tick 0 still checks before the first update, so
+/// an already-expired deadline stops the run with zero work done. The stop
+/// flag stays per-strand — it is one relaxed load.
+template <bool Policied, typename UpdateFn>
+[[gnu::always_inline]] inline bool
+stepStrand(std::vector<StrandStatus> &Status, UpdateFn &Update, size_t I,
+           int W, int Step, observe::Recorder *Rec, bool Trace,
+           RunControl *Ctl, unsigned &PolicyTick, observe::WorkerSpan &Span) {
+  if constexpr (Policied) {
+    if (Ctl->stopRequested())
+      return false;
+    if ((PolicyTick++ & 255u) == 0 && Ctl->deadlineExpired())
+      return false;
+  }
+  if (Trace && Step == 0)
+    Rec->event(W, {static_cast<uint64_t>(I), Step,
+                   observe::StrandEventKind::Start, W, Rec->nowNs()});
+  StrandStatus S;
+  if constexpr (Policied)
+    S = trappedUpdate(Update, I, W, *Ctl);
+  else
+    S = callUpdate(Update, I, W);
+  Status[I] = S;
+  ++Span.Updated;
+  Span.Stabilized += S == StrandStatus::Stable;
+  Span.Died += S == StrandStatus::Dead;
+  if constexpr (Policied)
+    if (S != StrandStatus::Active)
+      Ctl->noteRetired();
+  if (Trace && S != StrandStatus::Active)
+    Rec->event(W, {static_cast<uint64_t>(I), Step,
+                   S == StrandStatus::Stable
+                       ? observe::StrandEventKind::Stabilize
+                   : S == StrandStatus::Dead
+                       ? observe::StrandEventKind::Die
+                       : observe::StrandEventKind::Fault,
+                   W, Rec->nowNs()});
+  return true;
+}
 } // namespace detail
 
 /// Run supersteps sequentially until no strand is active or \p MaxSteps is
@@ -358,45 +380,14 @@ int runSequentialImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
     if (Rec)
       Span.BeginNs = Rec->nowNs();
     bool Any = false;
-    // Deadline amortization: deadlineExpired() costs a steady_clock read,
-    // so it runs once per 256 strands instead of per strand. Tick 0 still
-    // checks before the first update, so an already-expired deadline stops
-    // the run with zero work done. The stop flag stays per-strand — it is
-    // one relaxed load.
-    [[maybe_unused]] unsigned PolicyTick = 0;
+    unsigned PolicyTick = 0;
     for (size_t I = 0; I < N; ++I) {
       if (Status[I] != StrandStatus::Active)
         continue;
-      if constexpr (Policied) {
-        if (Ctl->stopRequested())
-          break;
-        if ((PolicyTick++ & 255u) == 0 && Ctl->deadlineExpired())
-          break;
-      }
+      if (!stepStrand<Policied>(Status, Update, I, 0, Steps, Rec, Trace, Ctl,
+                                PolicyTick, Span))
+        break;
       Any = true;
-      if (Trace && Steps == 0)
-        Rec->event(0, {static_cast<uint64_t>(I), Steps,
-                       observe::StrandEventKind::Start, 0, Rec->nowNs()});
-      StrandStatus S;
-      if constexpr (Policied)
-        S = trappedUpdate(Update, I, 0, *Ctl);
-      else
-        S = callUpdate(Update, I, 0);
-      Status[I] = S;
-      ++Span.Updated;
-      Span.Stabilized += S == StrandStatus::Stable;
-      Span.Died += S == StrandStatus::Dead;
-      if constexpr (Policied)
-        if (S != StrandStatus::Active)
-          Ctl->noteRetired();
-      if (Trace && S != StrandStatus::Active)
-        Rec->event(0, {static_cast<uint64_t>(I), Steps,
-                       S == StrandStatus::Stable
-                           ? observe::StrandEventKind::Stabilize
-                       : S == StrandStatus::Dead
-                           ? observe::StrandEventKind::Die
-                           : observe::StrandEventKind::Fault,
-                       0, Rec->nowNs()});
     }
     if (!Any)
       break;
@@ -434,270 +425,32 @@ int runSequential(std::vector<StrandStatus> &Status, UpdateFn &&Update,
                                           nullptr, OnStep);
 }
 
-/// Parallel supersteps with \p NumWorkers worker threads pulling blocks of
-/// \p BlockSize strands from a lock-guarded work-list, with a barrier at the
-/// end of each superstep. Returns the number of supersteps executed.
-///
-/// When \p Rec is non-null it records one span per worker per superstep
-/// (timeline row = worker index). Workers only ever write their own row and
-/// the superstep barriers order those writes against the coordinator's
-/// beginStep()/take(), so the span paths are race-free by construction; the
-/// Recorder's run-wide atomics are the only shared counters.
-///
-/// When \p Ctl is non-null the run is policied (see runSequential). A stop
-/// requested mid-superstep — deadline expiry, fault budget — makes every
-/// worker fall out of its strand and block loops, but each still commits
-/// its span and reaches both barriers, so the superstep completes cleanly:
-/// no hung workers, no torn Recorder rows. The coordinator then observes
-/// the stop in Ctl->stepEnd() and shuts the pool down through the normal
-/// Done path. As with runSequential, the policy dimension is a
-/// compile-time split: the unpolicied worker loop is the pre-fault-runtime
-/// loop, branch for branch.
-namespace detail {
-template <bool Policied, typename UpdateFn>
-int runParallelImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
-                    int MaxSteps, int NumWorkers, int BlockSize,
-                    observe::Recorder *Rec, RunControl *Ctl,
-                    const StepHook *OnStep) {
-
-  const size_t N = Status.size();
-  const size_t NumBlocks = (N + static_cast<size_t>(BlockSize) - 1) /
-                           static_cast<size_t>(BlockSize);
-
-  // Work-list state, rebuilt by the coordinator each superstep.
-  std::vector<uint32_t> ActiveBlocks;
-  ActiveBlocks.reserve(NumBlocks);
-  std::mutex WorkLock;
-  size_t NextBlock = 0;
-  bool Done = false;
-
-  const bool Trace = Rec && Rec->lifecycle();
-  // Armed metrics registry, or null. Hoisted so the hot paths pay a single
-  // pointer test; the unarmed run is branch-for-branch the old loop.
-  observe::Metrics *const MX = Rec ? Rec->metrics() : nullptr;
-
-  // Rebuild the work-list from the strand status vector. Runs between
-  // barriers (workers parked), so this is also the superstep-boundary view
-  // live metric scrapes see.
-  auto BuildActive = [&] {
-    ActiveBlocks.clear();
-    for (size_t B = 0; B < NumBlocks; ++B) {
-      size_t Lo = B * static_cast<size_t>(BlockSize);
-      size_t Hi = std::min(N, Lo + static_cast<size_t>(BlockSize));
-      for (size_t I = Lo; I < Hi; ++I)
-        if (Status[I] == StrandStatus::Active) {
-          ActiveBlocks.push_back(static_cast<uint32_t>(B));
-          break;
-        }
-    }
-    if (MX) {
-      uint64_t Live = 0;
-      for (StrandStatus St : Status)
-        Live += St == StrandStatus::Active;
-      MX->gauge(observe::MgLiveStrands).set(static_cast<int64_t>(Live));
-      MX->gauge(observe::MgWorklistDepth)
-          .set(static_cast<int64_t>(ActiveBlocks.size()));
-    }
-  };
-
-  if constexpr (Policied)
-    Ctl->begin(NumWorkers);
-
-  // Edge cases first, before any thread exists: a zero-step budget or no
-  // active strand means there is no work to hand out. (Workers used to be
-  // spawned unconditionally, hit the barrier once, and shut down having
-  // done nothing.)
-  BuildActive();
-  if (MaxSteps <= 0 || ActiveBlocks.empty())
-    return 0;
-  // Strands only ever leave the Active set, so the block count cannot grow
-  // mid-run: surplus workers beyond the first superstep's block count could
-  // never claim anything. Clamp before spawning.
-  if (static_cast<size_t>(NumWorkers) > ActiveBlocks.size())
-    NumWorkers = static_cast<int>(ActiveBlocks.size());
-
-  // Two rendezvous per superstep: workers wait for the work-list, then the
-  // coordinator waits for all updates to finish.
-  std::barrier Sync(NumWorkers + 1);
-
-  auto Worker = [&](int W) {
-    // Workers learn the superstep number by counting barrier iterations;
-    // the coordinator's Steps counter advances in lock-step with them.
-    int StepNo = 0;
-    // Deadline amortization (see runSequentialImpl): one clock read per
-    // claimed block plus one per 256 strands, not one per strand. The tick
-    // spans supersteps; tick 0 fires on this worker's first strand.
-    [[maybe_unused]] unsigned PolicyTick = 0;
-    // This worker's private claim-latency shard; merged by the coordinator
-    // at superstep barriers (observe/metrics.h documents the contract).
-    observe::HistCell *const ClaimCell =
-        MX ? &MX->hist(observe::MhClaimNs).cell(W) : nullptr;
-    for (;;) {
-      Sync.arrive_and_wait(); // work-list published
-      if (Done)
-        return;
-      observe::WorkerSpan Span;
-      if (Rec)
-        Span.BeginNs = Rec->nowNs();
-      bool Stopping = false;
-      for (;;) {
-        size_t Idx;
-        if (ClaimCell) {
-          uint64_t C0 = Rec->nowNs();
-          {
-            std::lock_guard<std::mutex> G(WorkLock);
-            Idx = NextBlock++;
-          }
-          ClaimCell->record(Rec->nowNs() - C0);
-        } else {
-          std::lock_guard<std::mutex> G(WorkLock);
-          Idx = NextBlock++;
-        }
-        ++Span.LockAcquires;
-        if (Idx >= ActiveBlocks.size())
-          break;
-        ++Span.BlocksClaimed;
-        if constexpr (Policied)
-          if (Ctl->stopRequested() || Ctl->deadlineExpired()) {
-            Stopping = true;
-            break;
-          }
-        size_t Block = ActiveBlocks[Idx];
-        size_t Lo = Block * static_cast<size_t>(BlockSize);
-        size_t Hi = std::min(N, Lo + static_cast<size_t>(BlockSize));
-        for (size_t I = Lo; I < Hi; ++I) {
-          if (Status[I] != StrandStatus::Active)
-            continue;
-          if constexpr (Policied) {
-            if (Ctl->stopRequested()) {
-              Stopping = true;
-              break;
-            }
-            if ((PolicyTick++ & 255u) == 0 && Ctl->deadlineExpired()) {
-              Stopping = true;
-              break;
-            }
-          }
-          if (Trace && StepNo == 0)
-            Rec->event(W, {static_cast<uint64_t>(I), StepNo,
-                           observe::StrandEventKind::Start, W, Rec->nowNs()});
-          StrandStatus S;
-          if constexpr (Policied)
-            S = trappedUpdate(Update, I, W, *Ctl);
-          else
-            S = callUpdate(Update, I, W);
-          Status[I] = S;
-          ++Span.Updated;
-          Span.Stabilized += S == StrandStatus::Stable;
-          Span.Died += S == StrandStatus::Dead;
-          if constexpr (Policied)
-            if (S != StrandStatus::Active)
-              Ctl->noteRetired();
-          if (Trace && S != StrandStatus::Active)
-            Rec->event(W, {static_cast<uint64_t>(I), StepNo,
-                           S == StrandStatus::Stable
-                               ? observe::StrandEventKind::Stabilize
-                           : S == StrandStatus::Dead
-                               ? observe::StrandEventKind::Die
-                               : observe::StrandEventKind::Fault,
-                           W, Rec->nowNs()});
-        }
-        if (Stopping)
-          break; // fall through to the barriers; coordinator handles stop
-      }
-      ++StepNo;
-      if (Rec) {
-        Span.EndNs = Rec->nowNs();
-        Span.BarrierWaits = 2; // this superstep's two rendezvous
-        Rec->commit(W, Span);
-      }
-      Sync.arrive_and_wait(); // superstep complete
-    }
-  };
-
-  std::vector<std::thread> Threads;
-  Threads.reserve(static_cast<size_t>(NumWorkers));
-  for (int W = 0; W < NumWorkers; ++W)
-    Threads.emplace_back(Worker, W);
-
-  int Steps = 0;
-  for (;;) {
-    NextBlock = 0;
-    if (Rec)
-      Rec->beginStep(Steps); // before workers can commit this superstep
-    if constexpr (Policied)
-      Ctl->setStep(Steps); // barrier below orders this for workers
-    Sync.arrive_and_wait(); // release workers
-    Sync.arrive_and_wait(); // wait for completion
-    ++Steps;
-    // Workers are parked at the next release barrier here; the barrier just
-    // crossed ordered their Status/strand writes before this read.
-    if (OnStep && *OnStep)
-      (*OnStep)(Steps - 1);
-    if constexpr (Policied)
-      if (Ctl->stepEnd())
-        break;
-    if (Steps >= MaxSteps)
-      break;
-    BuildActive();
-    if (ActiveBlocks.empty())
-      break;
-    // One clock read per superstep boundary, so an expiry is caught here
-    // even when the supersteps are too small for the per-block checks.
-    if constexpr (Policied)
-      if (Ctl->deadlineExpired())
-        break;
-  }
-  Done = true;
-  Sync.arrive_and_wait(); // release workers into shutdown
-  for (std::thread &T : Threads)
-    T.join();
-  return Steps;
-}
-} // namespace detail
-
-template <typename UpdateFn>
-int runParallel(std::vector<StrandStatus> &Status, UpdateFn &&Update,
-                int MaxSteps, int NumWorkers, int BlockSize = DefaultBlockSize,
-                observe::Recorder *Rec = nullptr, RunControl *Ctl = nullptr,
-                const StepHook *OnStep = nullptr) {
-  // NumWorkers == 1 still runs the full work-list machinery (one worker
-  // thread, lock, barrier) so that the paper's "Seq" vs "1P" comparison —
-  // the cost of the scheduler itself — is measurable.
-  if (NumWorkers < 1)
-    return runSequential(Status, Update, MaxSteps, Rec, Ctl, OnStep);
-  if (BlockSize <= 0)
-    BlockSize = DefaultBlockSize;
-  if (Ctl)
-    return detail::runParallelImpl<true>(Status, Update, MaxSteps, NumWorkers,
-                                         BlockSize, Rec, Ctl, OnStep);
-  return detail::runParallelImpl<false>(Status, Update, MaxSteps, NumWorkers,
-                                        BlockSize, Rec, nullptr, OnStep);
-}
-
 //===----------------------------------------------------------------------===//
 // Persistent pool scheduler
 //===----------------------------------------------------------------------===//
 
-/// Process-wide persistent worker pool behind runPooled. Threads are spawned
-/// lazily up to the largest worker count any run has asked for, park on a
-/// condvar between runs, and are never re-spawned — a diderotd job worker
-/// issuing thousands of /run requests reuses the same OS threads instead of
-/// paying thread churn per run (the generation counter is the "futex word"
-/// the parked threads watch).
+/// Process-wide persistent worker pool behind runParallel. Threads are
+/// spawned lazily up to the largest worker count any run has asked for,
+/// park on a condvar between runs, and are never re-spawned — a diderotd
+/// job worker issuing thousands of /run requests reuses the same OS threads
+/// instead of paying thread churn per run (the generation counter is the
+/// "futex word" the parked threads watch).
 ///
 /// Dispatch protocol: a Lease takes RunMu (runs on the pool are serialized;
-/// concurrent runPooled calls queue here), publishes the job closure, bumps
-/// the generation, and wakes the pool. Each selected worker runs the
+/// concurrent runParallel calls queue here), publishes the job closure,
+/// bumps the generation, and wakes the pool. Each selected worker runs the
 /// closure once with its slot id, then re-parks; the Lease destructor waits
 /// until all of them are back. Coordination *inside* a run (the superstep
 /// barriers) is the job closure's own business.
 ///
-/// Scope note: this is a Meyers singleton in a header, so each dlopen'd
-/// generated .so carries its own pool instance — native in-process runs
-/// park in their .so's pool, interpreter runs in the host's. Either way the
-/// thread count is bounded and stable across runs, which is the property
-/// the no-thread-growth tests assert.
+/// Scope note: this is a Meyers singleton in a header, and its function-
+/// local static is emitted as a GNU unique symbol (`nm -DC` on a generated
+/// .so lists `u guard variable for diderot::rt::StrandPool::instance()::P`).
+/// The dynamic linker binds every copy to one definition, so the host and
+/// every dlopen'd generated .so share a single pool: interpreter and native
+/// runs in one process take turns on the same threads and the same Lease.
+/// Building generated code with hidden visibility would split it into one
+/// pool per .so.
 class StrandPool {
 public:
   static StrandPool &instance() {
@@ -808,22 +561,38 @@ private:
   std::atomic<uint64_t> Parks{0};
 };
 
-/// Work-stealing variant of runParallelImpl on the persistent StrandPool.
-/// Semantics are still bulk-synchronous — the two superstep barriers and
-/// everything observable at them (Recorder spans, metrics folds, policy
-/// decisions) are identical to the bsp scheduler — but inside a superstep
-/// each worker owns a deque of blocks and, when it runs dry, steals from
-/// the fronts of its neighbours' deques instead of idling at the barrier.
-/// That replaces the single WorkLock every claim contends on with
-/// per-worker locks that only see cross-worker traffic when stealing
-/// actually happens, and it is what turns the imbalance the metrics
-/// registry measures (MhImbalanceNs) into reclaimed wall time.
+/// Parallel supersteps on \p NumWorkers workers of the persistent
+/// StrandPool. Returns the number of supersteps executed.
+///
+/// The coordinator (the calling thread) rebuilds the work-list of blocks
+/// of \p BlockSize strands that still hold an active strand and deals it,
+/// in contiguous chunks, into one deque per worker. Two barriers bound
+/// every superstep. Inside it each worker pops blocks from the tail of its
+/// own deque and, when that runs dry, steals from the heads of its
+/// neighbours' deques instead of idling at the barrier. Each deque has its
+/// own lock, so the only cross-worker traffic is actual stealing.
+///
+/// When \p Rec is non-null it records one span per worker per superstep
+/// (timeline row = worker index). Workers only ever write their own row and
+/// the superstep barriers order those writes against the coordinator's
+/// beginStep()/take(), so the span paths are race-free by construction; the
+/// Recorder's run-wide atomics are the only shared counters. An armed
+/// metrics registry also counts steals, pool parks and the pool's thread
+/// count.
+///
+/// When \p Ctl is non-null the run is policied (see runSequential). A stop
+/// requested mid-superstep — deadline expiry, fault budget — makes every
+/// worker fall out of its strand and block loops, but each still commits
+/// its span and reaches both barriers, so the superstep completes cleanly:
+/// no hung workers, no torn Recorder rows. The coordinator then observes
+/// the stop in Ctl->stepEnd() and releases the workers back to the pool.
+/// As with runSequential, the policy dimension is a compile-time split.
 namespace detail {
 template <bool Policied, typename UpdateFn>
-int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
-                  int MaxSteps, int NumWorkers, int BlockSize,
-                  observe::Recorder *Rec, RunControl *Ctl,
-                  const StepHook *OnStep) {
+int runParallelImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
+                    int MaxSteps, int NumWorkers, int BlockSize,
+                    observe::Recorder *Rec, RunControl *Ctl,
+                    const StepHook *OnStep) {
 
   const size_t N = Status.size();
   const size_t NumBlocks = (N + static_cast<size_t>(BlockSize) - 1) /
@@ -834,8 +603,13 @@ int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
   bool Done = false;
 
   const bool Trace = Rec && Rec->lifecycle();
+  // Armed metrics registry, or null. Hoisted so the hot paths pay a single
+  // pointer test.
   observe::Metrics *const MX = Rec ? Rec->metrics() : nullptr;
 
+  // Rebuild the work-list from the strand status vector. Runs between
+  // barriers (workers parked), so this is also the superstep-boundary view
+  // live metric scrapes see.
   auto BuildActive = [&] {
     ActiveBlocks.clear();
     for (size_t B = 0; B < NumBlocks; ++B) {
@@ -860,9 +634,14 @@ int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
   if constexpr (Policied)
     Ctl->begin(NumWorkers);
 
+  // Edge cases first, before the pool is leased: a zero-step budget or no
+  // active strand means there is no work to hand out.
   BuildActive();
   if (MaxSteps <= 0 || ActiveBlocks.empty())
     return 0;
+  // Strands only ever leave the Active set, so the block count cannot grow
+  // mid-run: surplus workers beyond the first superstep's block count could
+  // never claim anything. Clamp before leasing.
   if (static_cast<size_t>(NumWorkers) > ActiveBlocks.size())
     NumWorkers = static_cast<int>(ActiveBlocks.size());
 
@@ -880,11 +659,19 @@ int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
   };
   std::vector<BlockDeque> Deques(static_cast<size_t>(NumWorkers));
 
+  // Two rendezvous per superstep: workers wait for the deques, then the
+  // coordinator waits for all updates to finish.
   std::barrier Sync(NumWorkers + 1);
 
   auto Worker = [&](int W) {
+    // Workers learn the superstep number by counting barrier iterations;
+    // the coordinator's Steps counter advances in lock-step with them.
     int StepNo = 0;
-    [[maybe_unused]] unsigned PolicyTick = 0;
+    // The deadline tick spans supersteps; on top of it each claimed block
+    // checks the clock once.
+    unsigned PolicyTick = 0;
+    // This worker's private claim-latency shard; merged by the coordinator
+    // at superstep barriers (observe/metrics.h documents the contract).
     observe::HistCell *const ClaimCell =
         MX ? &MX->hist(observe::MhClaimNs).cell(W) : nullptr;
     // Claim one block: own deque first (tail side), then a round-robin
@@ -922,7 +709,7 @@ int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
         Span.BeginNs = Rec->nowNs();
       uint64_t Steals = 0;
       bool Stopping = false;
-      for (;;) {
+      while (!Stopping) {
         uint32_t Block;
         uint64_t Locks = 0;
         bool Got;
@@ -938,59 +725,27 @@ int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
           break;
         ++Span.BlocksClaimed;
         if constexpr (Policied)
-          if (Ctl->stopRequested() || Ctl->deadlineExpired()) {
-            Stopping = true;
+          if (Ctl->stopRequested() || Ctl->deadlineExpired())
             break;
-          }
         size_t Lo = static_cast<size_t>(Block) *
                     static_cast<size_t>(BlockSize);
         size_t Hi = std::min(N, Lo + static_cast<size_t>(BlockSize));
         for (size_t I = Lo; I < Hi; ++I) {
           if (Status[I] != StrandStatus::Active)
             continue;
-          if constexpr (Policied) {
-            if (Ctl->stopRequested()) {
-              Stopping = true;
-              break;
-            }
-            if ((PolicyTick++ & 255u) == 0 && Ctl->deadlineExpired()) {
-              Stopping = true;
-              break;
-            }
+          if (!stepStrand<Policied>(Status, Update, I, W, StepNo, Rec, Trace,
+                                    Ctl, PolicyTick, Span)) {
+            Stopping = true; // the coordinator handles the stop
+            break;
           }
-          if (Trace && StepNo == 0)
-            Rec->event(W, {static_cast<uint64_t>(I), StepNo,
-                           observe::StrandEventKind::Start, W, Rec->nowNs()});
-          StrandStatus S;
-          if constexpr (Policied)
-            S = trappedUpdate(Update, I, W, *Ctl);
-          else
-            S = callUpdate(Update, I, W);
-          Status[I] = S;
-          ++Span.Updated;
-          Span.Stabilized += S == StrandStatus::Stable;
-          Span.Died += S == StrandStatus::Dead;
-          if constexpr (Policied)
-            if (S != StrandStatus::Active)
-              Ctl->noteRetired();
-          if (Trace && S != StrandStatus::Active)
-            Rec->event(W, {static_cast<uint64_t>(I), StepNo,
-                           S == StrandStatus::Stable
-                               ? observe::StrandEventKind::Stabilize
-                           : S == StrandStatus::Dead
-                               ? observe::StrandEventKind::Die
-                               : observe::StrandEventKind::Fault,
-                           W, Rec->nowNs()});
         }
-        if (Stopping)
-          break;
       }
       ++StepNo;
       if (MX && Steals)
         MX->counter(observe::McBlocksStolen).add(Steals);
       if (Rec) {
         Span.EndNs = Rec->nowNs();
-        Span.BarrierWaits = 2;
+        Span.BarrierWaits = 2; // this superstep's two rendezvous
         Rec->commit(W, Span);
       }
       Sync.arrive_and_wait(); // superstep complete
@@ -1020,14 +775,14 @@ int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
         At += Take;
       }
       if (Rec)
-        Rec->beginStep(Steps);
+        Rec->beginStep(Steps); // before workers can commit this superstep
       if constexpr (Policied)
-        Ctl->setStep(Steps);
+        Ctl->setStep(Steps); // barrier below orders this for workers
       Sync.arrive_and_wait(); // release workers
       Sync.arrive_and_wait(); // wait for completion
       ++Steps;
-      // Same race-free window as the bsp coordinator: workers parked, their
-      // superstep writes ordered by the barrier just crossed.
+      // Workers are parked at the next release barrier here; the barrier
+      // just crossed ordered their Status/strand writes before this read.
       if (OnStep && *OnStep)
         (*OnStep)(Steps - 1);
       if constexpr (Policied)
@@ -1038,6 +793,8 @@ int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
       BuildActive();
       if (ActiveBlocks.empty())
         break;
+      // One clock read per superstep boundary, so an expiry is caught here
+      // even when the supersteps are too small for the per-block checks.
       if constexpr (Policied)
         if (Ctl->deadlineExpired())
           break;
@@ -1054,39 +811,25 @@ int runPooledImpl(std::vector<StrandStatus> &Status, UpdateFn &Update,
 }
 } // namespace detail
 
-/// Pool-backed work-stealing scheduler; drop-in for runParallel (same
-/// contract, spans, and policy behavior — see runPooledImpl above for what
-/// differs inside a superstep). NumWorkers < 1 falls back to the
-/// sequential scheduler, exactly like runParallel.
+/// The parallel scheduler (see detail::runParallelImpl). \p NumWorkers < 1
+/// selects runSequential; \p BlockSize <= 0 means DefaultBlockSize.
+/// NumWorkers == 1 still runs the full work-list machinery (one pool
+/// worker, deque, barriers), so the paper's "Seq" vs "1P" comparison — the
+/// cost of the scheduler itself — stays measurable.
 template <typename UpdateFn>
-int runPooled(std::vector<StrandStatus> &Status, UpdateFn &&Update,
-              int MaxSteps, int NumWorkers, int BlockSize = DefaultBlockSize,
-              observe::Recorder *Rec = nullptr, RunControl *Ctl = nullptr,
-              const StepHook *OnStep = nullptr) {
+int runParallel(std::vector<StrandStatus> &Status, UpdateFn &&Update,
+                int MaxSteps, int NumWorkers, int BlockSize = DefaultBlockSize,
+                observe::Recorder *Rec = nullptr, RunControl *Ctl = nullptr,
+                const StepHook *OnStep = nullptr) {
   if (NumWorkers < 1)
     return runSequential(Status, Update, MaxSteps, Rec, Ctl, OnStep);
   if (BlockSize <= 0)
     BlockSize = DefaultBlockSize;
   if (Ctl)
-    return detail::runPooledImpl<true>(Status, Update, MaxSteps, NumWorkers,
-                                       BlockSize, Rec, Ctl, OnStep);
-  return detail::runPooledImpl<false>(Status, Update, MaxSteps, NumWorkers,
-                                      BlockSize, Rec, nullptr, OnStep);
-}
-
-/// Dispatch on a runtime Scheduler value; the compile-time split stays
-/// inside the chosen scheduler.
-template <typename UpdateFn>
-int runScheduled(Scheduler Sched, std::vector<StrandStatus> &Status,
-                 UpdateFn &&Update, int MaxSteps, int NumWorkers,
-                 int BlockSize = DefaultBlockSize,
-                 observe::Recorder *Rec = nullptr, RunControl *Ctl = nullptr,
-                 const StepHook *OnStep = nullptr) {
-  if (Sched == Scheduler::Pooled)
-    return runPooled(Status, Update, MaxSteps, NumWorkers, BlockSize, Rec,
-                     Ctl, OnStep);
-  return runParallel(Status, Update, MaxSteps, NumWorkers, BlockSize, Rec,
-                     Ctl, OnStep);
+    return detail::runParallelImpl<true>(Status, Update, MaxSteps, NumWorkers,
+                                         BlockSize, Rec, Ctl, OnStep);
+  return detail::runParallelImpl<false>(Status, Update, MaxSteps, NumWorkers,
+                                        BlockSize, Rec, nullptr, OnStep);
 }
 
 } // namespace diderot::rt

@@ -501,7 +501,6 @@ http::Response Daemon::Impl::handleRun(const http::Request &Req) {
   rt::RunConfig RC;
   RC.MaxSupersteps = Opts.MaxSupersteps;
   RC.NumWorkers = Opts.RunWorkers;
-  RC.Sched = Opts.RunScheduler;
   RC.Policy.DeadlineNs = Opts.DefaultDeadlineNs;
   // Run-limit headers are validated here, at the head of the request:
   // these used to go through bare atoi/atoll, where "forever" became 0
@@ -526,10 +525,6 @@ http::Response Daemon::Impl::handleRun(const http::Request &Req) {
     if (!parseInt64(V, Ms) || Ms < 0 || Ms > INT64_MAX / 1000000)
       return BadHeader("X-Diderot-Deadline-Ms");
     RC.Policy.DeadlineNs = Ms * 1000000;
-  }
-  if (std::string V = Req.header("x-diderot-scheduler"); !V.empty()) {
-    if (!rt::parseSchedulerName(V, RC.Sched))
-      return BadHeader("X-Diderot-Scheduler");
   }
   // Deterministic fault injection for chaos drills (tests/daemon_chaos.sh):
   // each X-Diderot-Fault: STRAND@STEP header plants one injected fault at
@@ -726,9 +721,9 @@ void Daemon::Impl::runJob(
   uint64_t RunSpanId = Ids.nextId();
   if (Job->Ctx.Sampled) {
     RC.CollectStats = true;
-    // Pooled runs count steals and parks in the metrics registry; arm it
+    // Parallel runs count steals and parks in the metrics registry; arm it
     // for sampled jobs so the pool span grafted below carries them.
-    if (RC.Sched == rt::Scheduler::Pooled)
+    if (RC.NumWorkers >= 1)
       RC.CollectMetrics = true;
   }
   // Under --record-on-failure every run captures the per-superstep digest
@@ -768,7 +763,7 @@ void Daemon::Impl::runJob(
     Job->Tree.add(std::move(RS));
     if (Job->Ctx.Sampled && !Run->Workers.empty())
       observe::appendRunSpans(Job->Tree, RunSpanId, RunBeginNs, *Run, Ids);
-    if (Job->Ctx.Sampled && RC.Sched == rt::Scheduler::Pooled)
+    if (Job->Ctx.Sampled && RC.NumWorkers >= 1)
       observe::appendPoolSpan(Job->Tree, RunSpanId, RunBeginNs, RunEndNs,
                               *Run, Ids);
   }

@@ -86,12 +86,9 @@ struct DaemonOptions {
   int QueueCapacity = 64;
   /// Strand workers per job run. 0 runs the strands sequentially on the job
   /// worker itself, with no thread spawned and no barrier per superstep.
+  /// N >= 1 runs them on N workers of the process-wide StrandPool; runs
+  /// from concurrent jobs take turns on it (docs/SERVING.md).
   int RunWorkers = 0;
-  /// Default parallel scheduler for job runs with RunWorkers >= 1 (bsp or
-  /// pooled); requests override per job with X-Diderot-Scheduler. Pooled
-  /// reuses the parked StrandPool threads across runs instead of
-  /// re-spawning a thread set per /run job (docs/SCHEDULING.md).
-  rt::Scheduler RunScheduler = rt::Scheduler::Bsp;
   int MaxSupersteps = 10000; ///< per-job superstep cap
   /// Deadline applied to jobs that do not send X-Diderot-Deadline-Ms
   /// (0 = none). Folds into the job's RunPolicy.

@@ -38,14 +38,10 @@ options:
                       start the daemon with --port 0)
   --job-workers N     job-queue worker threads, i.e. jobs run at once
                       (default: one per core)
-  --run-workers N     strand worker threads per job run; 0 runs a job's
-                      strands on its job worker (default 0)
-  --scheduler S       default parallel scheduler for job runs with
-                      --run-workers >= 1: bsp (fresh threads per run, the
-                      paper's model) or pooled (persistent work-stealing
-                      strand pool; see docs/SCHEDULING.md). Clients
-                      override per request with X-Diderot-Scheduler.
-                      (default bsp)
+  --run-workers N     strand workers per job run; 0 runs a job's strands
+                      on its job worker; N >= 1 runs them on N threads of
+                      the process-wide work-stealing strand pool, which
+                      concurrent jobs take turns on (default 0)
   --queue-cap N       max queued jobs; beyond it POST /run gets 429
                       (default 64)
   --steps N           per-job superstep cap (default 10000)
@@ -162,13 +158,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--run-workers" && A + 1 < Argc) {
       if (!argInt("--run-workers", Argv[++A], Opts.RunWorkers))
         return 1;
-    } else if (Arg == "--scheduler" && A + 1 < Argc) {
-      if (!rt::parseSchedulerName(Argv[++A], Opts.RunScheduler)) {
-        std::fprintf(stderr,
-                     "error: bad --scheduler '%s' (want bsp or pooled)\n",
-                     Argv[A]);
-        return 1;
-      }
     } else if (Arg == "--queue-cap" && A + 1 < Argc) {
       if (!argInt("--queue-cap", Argv[++A], Opts.QueueCapacity))
         return 1;

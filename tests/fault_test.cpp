@@ -341,11 +341,8 @@ TEST(DeadlinePromptness, AmortizedCheckStillStopsAllSchedulersQuickly) {
   struct Case {
     const char *Name;
     int Workers;
-    rt::Scheduler Sched;
   };
-  for (const Case &C : {Case{"sequential", 0, rt::Scheduler::Bsp},
-                        Case{"bsp", 4, rt::Scheduler::Bsp},
-                        Case{"pooled", 4, rt::Scheduler::Pooled}}) {
+  for (const Case &C : {Case{"sequential", 0}, Case{"parallel", 4}}) {
     rt::RunPolicy P;
     P.DeadlineNs = DeadlineNs;
     rt::RunControl Ctl(P);
@@ -354,8 +351,8 @@ TEST(DeadlinePromptness, AmortizedCheckStillStopsAllSchedulersQuickly) {
     std::vector<rt::StrandStatus> S(512, rt::StrandStatus::Active);
     std::atomic<uint64_t> Updates{0};
     Clock::time_point T0 = Clock::now();
-    rt::runScheduled(
-        C.Sched, S,
+    rt::runParallel(
+        S,
         [&](size_t) {
           Updates.fetch_add(1, std::memory_order_relaxed);
           return rt::StrandStatus::Active;

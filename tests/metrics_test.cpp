@@ -227,8 +227,11 @@ TEST(RecorderMetrics, SuperstepHistogramsFoldOnePerStep) {
   EXPECT_EQ(R.Metrics.Hists[MhUpdatesPerStep].Count,
             static_cast<uint64_t>(R.Steps));
   EXPECT_EQ(R.Metrics.Hists[MhUpdatesPerStep].Sum, R.Totals.Updated);
-  // Every work-list lock acquisition was individually timed.
-  EXPECT_EQ(R.Metrics.Hists[MhClaimNs].Count, R.Totals.LockAcquires);
+  // Every block claim was individually timed: the claimed blocks plus each
+  // worker's final empty-handed claim per superstep (a claim that scans
+  // other deques takes several locks, so LockAcquires is no proxy).
+  EXPECT_EQ(R.Metrics.Hists[MhClaimNs].Count,
+            R.Totals.BlocksClaimed + 2u * static_cast<uint64_t>(R.Steps));
   // Gauges settle at quiescence: no live strands, empty work list.
   EXPECT_EQ(R.Metrics.Gauges[MgLiveStrands], 0);
   EXPECT_EQ(R.Metrics.Gauges[MgWorklistDepth], 0);

@@ -3,9 +3,10 @@
 // Part of the Diderot-C++ reproduction (PLDI 2012).
 //
 // The native C ABI (runtime/ddr_abi.h) against real host-compiled shared
-// objects: ddr_read's all-or-nothing copy, and the loader's version
-// handshake quarantining and recompiling a cached artifact that answers
-// another ddr_abi_version() or none at all.
+// objects: ddr_read's all-or-nothing copy, the loader's version handshake
+// quarantining and recompiling a cached artifact that answers another
+// ddr_abi_version() or none at all, and the one StrandPool all generated
+// programs in a process share.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 #include "codegen/config.h"
 #include "driver/driver.h"
 #include "runtime/ddr_abi.h"
+#include "runtime/scheduler.h"
 
 namespace fs = std::filesystem;
 
@@ -196,6 +198,52 @@ TEST(NativeAbi, ArtifactWithoutAVersionIsQuarantinedAndRecompiled) {
   expectStaleArtifactIsReplaced(
       "none", 11, "extern \"C\" int ddr_create() { return 0; }\n",
       "no ddr_abi_version symbol");
+}
+
+/// StrandPool::instance()'s function-local static is a GNU unique symbol
+/// in every generated .so, so the dynamic linker binds all programs loaded
+/// into a process to one pool. The host executable keeps its copy out of
+/// its dynamic symbol table (no -rdynamic), so interpreter runs in the host
+/// use a pool of their own: a native 3-worker run parks its workers in the
+/// programs' shared pool and leaves the host's untouched. Hidden visibility
+/// in generated code would give every .so its own pool (docs/SCHEDULING.md).
+TEST(NativeAbi, GeneratedProgramsShareOneStrandPool) {
+  TempDir T("pool");
+  CompileOptions Opts = nativeOpts(T);
+  const char *PoolSym = "_ZZN7diderot2rt10StrandPool8instanceEvE1P";
+  std::vector<void *> Handles;
+  std::vector<void *> Pools;
+  for (int Scale : {2, 5}) {
+    Result<CompiledProgram> CP =
+        compileString(program(Scale), Opts, "abi_pool");
+    ASSERT_TRUE(CP.isOk()) << CP.message();
+    Result<std::unique_ptr<rt::ProgramInstance>> I = CP->instantiate();
+    ASSERT_TRUE(I.isOk()) << I.message();
+    ASSERT_TRUE((*I)->initialize().isOk());
+    void *H =
+        dlopen(artifactPath(T, *CP, Opts).c_str(), RTLD_NOW | RTLD_LOCAL);
+    ASSERT_NE(H, nullptr) << dlerror();
+    Handles.push_back(H);
+    void *Sym = dlsym(H, PoolSym);
+    ASSERT_NE(Sym, nullptr) << dlerror();
+    Pools.push_back(Sym);
+    rt::StrandPool &Shared = *static_cast<rt::StrandPool *>(Sym);
+    rt::StrandPool &Host = rt::StrandPool::instance();
+    uint64_t Shared0 = Shared.parkCount(), Host0 = Host.parkCount();
+    rt::RunConfig C;
+    C.MaxSupersteps = 100;
+    C.NumWorkers = 3;
+    C.BlockSize = 4; // 20 strands, 5 blocks: all 3 workers are leased
+    Result<rt::RunStats> R = (*I)->run(C);
+    ASSERT_TRUE(R.isOk()) << R.message();
+    EXPECT_EQ(Shared.parkCount() - Shared0, 3u) << "scale " << Scale;
+    EXPECT_GE(Shared.threadCount(), 3);
+    EXPECT_EQ(Host.parkCount(), Host0) << "scale " << Scale;
+  }
+  EXPECT_EQ(Pools[0], Pools[1]) << "two programs, two pools";
+  EXPECT_NE(Pools[0], static_cast<void *>(&rt::StrandPool::instance()));
+  for (void *H : Handles)
+    dlclose(H);
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 //===--- tests/pool_test.cpp - persistent pool scheduler tests ---------------===//
 //
-// The runPooled scheduler and the StrandPool behind it: BSP semantics
-// (every active strand updated exactly once per superstep), block stealing
-// under imbalance, thread reuse across runs (the no-thread-growth
-// property), Lease serialization of concurrent runs, policy containment
-// (deadline, fault budget), and the edge cases shared with the bsp
-// scheduler (MaxSteps <= 0, no active strands, more workers than blocks).
+// The StrandPool behind runParallel, seen from the pool's side: how many
+// workers each run leases and parks back (parkCount) across the
+// partitioning sweep, the no-work edge cases (no lease at all), policy
+// stops and the worker clamp; block stealing under imbalance; thread reuse
+// across runs (the no-thread-growth property); and Lease serialization of
+// concurrent runs. The superstep semantics themselves are pinned by
+// scheduler_test's Parallel* and RunPolicyParallel.* cases.
 //
 // This file is also compiled into test_pool_tsan, so everything here
 // certifies under ThreadSanitizer that the park/dispatch protocol and the
@@ -13,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -31,8 +33,22 @@ namespace {
 // BSP semantics on the pool
 //===----------------------------------------------------------------------===//
 
-/// Same sweep as the bsp scheduler's: every active strand updated exactly
-/// once per superstep, for any (workers, blockSize) partitioning.
+/// Pool parks since \p Parks0: one per leased worker per completed run.
+uint64_t parksSince(uint64_t Parks0) {
+  return StrandPool::instance().parkCount() - Parks0;
+}
+
+/// Workers a run of \p N strands leases: the request, clamped to the
+/// number of blocks.
+uint64_t leased(size_t N, int Workers, int Block) {
+  size_t Blocks = (N + static_cast<size_t>(Block) - 1) /
+                  static_cast<size_t>(Block);
+  return std::min<uint64_t>(static_cast<uint64_t>(Workers), Blocks);
+}
+
+/// scheduler_test's partitioning sweep, from the pool's side: each run
+/// leases min(workers, blocks) pool workers and parks each exactly once,
+/// and every strand is still updated exactly once per superstep.
 class PooledSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -41,7 +57,8 @@ TEST_P(PooledSweep, EveryStrandUpdatedExactlyOncePerStep) {
   const size_t N = 1000;
   std::vector<StrandStatus> S(N, StrandStatus::Active);
   std::vector<std::atomic<int>> Count(N);
-  int Steps = runPooled(
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  int Steps = runParallel(
       S,
       [&](size_t I) {
         int C = ++Count[I];
@@ -51,6 +68,7 @@ TEST_P(PooledSweep, EveryStrandUpdatedExactlyOncePerStep) {
   EXPECT_EQ(Steps, 3);
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Count[I].load(), 3) << "strand " << I;
+  EXPECT_EQ(parksSince(Parks0), leased(N, Workers, Block));
 }
 
 TEST_P(PooledSweep, MixedLifecycles) {
@@ -58,7 +76,8 @@ TEST_P(PooledSweep, MixedLifecycles) {
   const size_t N = 500;
   std::vector<StrandStatus> S(N, StrandStatus::Active);
   std::vector<std::atomic<int>> Count(N);
-  runPooled(
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  runParallel(
       S,
       [&](size_t I) {
         int C = ++Count[I];
@@ -77,6 +96,7 @@ TEST_P(PooledSweep, MixedLifecycles) {
       EXPECT_EQ(Count[I].load(), static_cast<int>(I % 5) + 1);
     }
   }
+  EXPECT_EQ(parksSince(Parks0), leased(N, Workers, Block));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,20 +106,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Pooled, ZeroWorkersFallsBackToSequential) {
   std::vector<StrandStatus> S(10, StrandStatus::Active);
-  int Steps = runPooled(
+  int Before = StrandPool::instance().threadCount();
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  int Steps = runParallel(
       S, [&](size_t) { return StrandStatus::Stable; }, 100, 0);
   EXPECT_EQ(Steps, 1);
-  int Before = StrandPool::instance().threadCount();
-  runPooled(S, [&](size_t) { return StrandStatus::Stable; }, 100, -3);
+  std::fill(S.begin(), S.end(), StrandStatus::Active);
+  runParallel(S, [&](size_t) { return StrandStatus::Stable; }, 100, -3);
   // The sequential fallback must not touch the pool.
   EXPECT_EQ(StrandPool::instance().threadCount(), Before);
+  EXPECT_EQ(parksSince(Parks0), 0u);
 }
 
 TEST(Pooled, HonorsMaxSteps) {
+  // One lease per run, not per superstep: five supersteps, four parks.
   std::vector<StrandStatus> S(100, StrandStatus::Active);
-  int Steps = runPooled(
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  int Steps = runParallel(
       S, [&](size_t) { return StrandStatus::Active; }, 5, 4, 16);
   EXPECT_EQ(Steps, 5);
+  EXPECT_EQ(parksSince(Parks0), 4u);
 }
 
 TEST(Pooled, ClampsNonPositiveBlockSize) {
@@ -107,7 +133,8 @@ TEST(Pooled, ClampsNonPositiveBlockSize) {
     const size_t N = 1000;
     std::vector<StrandStatus> S(N, StrandStatus::Active);
     std::vector<std::atomic<int>> Count(N);
-    int Steps = runPooled(
+    uint64_t Parks0 = StrandPool::instance().parkCount();
+    int Steps = runParallel(
         S,
         [&](size_t I) {
           int C = ++Count[I];
@@ -117,18 +144,21 @@ TEST(Pooled, ClampsNonPositiveBlockSize) {
     EXPECT_EQ(Steps, 2) << "BlockSize " << Block;
     for (size_t I = 0; I < N; ++I)
       EXPECT_EQ(Count[I].load(), 2) << "strand " << I;
+    // The default block holds all 1000 strands: one block, one worker.
+    EXPECT_EQ(parksSince(Parks0), 1u) << "BlockSize " << Block;
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Edge cases: no work means no dispatch (both schedulers)
+// Edge cases: no work means no dispatch
 //===----------------------------------------------------------------------===//
 
 TEST(Pooled, ZeroMaxStepsRunsNothing) {
   for (int MaxSteps : {0, -1}) {
     std::vector<StrandStatus> S(100, StrandStatus::Active);
     std::atomic<int> Updates{0};
-    int Steps = runPooled(
+    uint64_t Parks0 = StrandPool::instance().parkCount();
+    int Steps = runParallel(
         S,
         [&](size_t) {
           ++Updates;
@@ -137,17 +167,19 @@ TEST(Pooled, ZeroMaxStepsRunsNothing) {
         MaxSteps, 4, 16);
     EXPECT_EQ(Steps, 0) << "MaxSteps " << MaxSteps;
     EXPECT_EQ(Updates.load(), 0);
+    EXPECT_EQ(parksSince(Parks0), 0u) << "no lease without work";
   }
 }
 
 TEST(Pooled, NoActiveStrandsRunsNothing) {
+  uint64_t Parks0 = StrandPool::instance().parkCount();
   std::vector<StrandStatus> Empty;
-  EXPECT_EQ(runPooled(Empty, [&](size_t) { return StrandStatus::Stable; },
+  EXPECT_EQ(runParallel(Empty, [&](size_t) { return StrandStatus::Stable; },
                       100, 4),
             0);
   std::vector<StrandStatus> AllDone(64, StrandStatus::Stable);
   std::atomic<int> Updates{0};
-  EXPECT_EQ(runPooled(AllDone,
+  EXPECT_EQ(runParallel(AllDone,
                       [&](size_t) {
                         ++Updates;
                         return StrandStatus::Stable;
@@ -155,15 +187,18 @@ TEST(Pooled, NoActiveStrandsRunsNothing) {
                       100, 4, 8),
             0);
   EXPECT_EQ(Updates.load(), 0);
+  EXPECT_EQ(parksSince(Parks0), 0u) << "no lease without work";
 }
 
 TEST(Pooled, MoreWorkersThanBlocksClampsAndCompletes) {
   // 3 blocks of work, 8 workers requested: the scheduler must clamp to 3
-  // and still update every strand exactly once per superstep.
+  // leased workers and still update every strand exactly once per
+  // superstep.
   const size_t N = 3 * 16;
   std::vector<StrandStatus> S(N, StrandStatus::Active);
   std::vector<std::atomic<int>> Count(N);
-  int Steps = runPooled(
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  int Steps = runParallel(
       S,
       [&](size_t I) {
         int C = ++Count[I];
@@ -173,6 +208,7 @@ TEST(Pooled, MoreWorkersThanBlocksClampsAndCompletes) {
   EXPECT_EQ(Steps, 2);
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Count[I].load(), 2) << "strand " << I;
+  EXPECT_EQ(parksSince(Parks0), 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -184,7 +220,7 @@ TEST(StrandPoolReuse, RepeatedRunsDoNotGrowThreadCount) {
   auto RunOnce = [&] {
     std::vector<StrandStatus> S(256, StrandStatus::Active);
     std::vector<std::atomic<int>> Count(S.size());
-    runPooled(
+    runParallel(
         S,
         [&](size_t I) {
           return ++Count[I] >= 2 ? StrandStatus::Stable
@@ -211,21 +247,21 @@ TEST(StrandPoolReuse, GrowsLazilyToLargestRequest) {
   auto Update = [&](size_t I) {
     return ++Count[I] >= 1 ? StrandStatus::Stable : StrandStatus::Active;
   };
-  runPooled(S, Update, 100, 2, 64);
+  runParallel(S, Update, 100, 2, 64);
   StrandPool &P = StrandPool::instance();
   int AfterSmall = P.threadCount();
   EXPECT_GE(AfterSmall, 2);
   for (auto &C : Count)
     C = 0;
   std::fill(S.begin(), S.end(), StrandStatus::Active);
-  runPooled(S, Update, 100, 6, 64);
+  runParallel(S, Update, 100, 6, 64);
   // A larger request grows the pool; a later smaller one reuses it.
   int AfterBig = P.threadCount();
   EXPECT_GE(AfterBig, 6);
   for (auto &C : Count)
     C = 0;
   std::fill(S.begin(), S.end(), StrandStatus::Active);
-  runPooled(S, Update, 100, 3, 64);
+  runParallel(S, Update, 100, 3, 64);
   EXPECT_EQ(P.threadCount(), AfterBig);
 }
 
@@ -236,7 +272,7 @@ TEST(StrandPoolReuse, ConcurrentRunsSerializeAndBothComplete) {
     const size_t N = 2000;
     std::vector<StrandStatus> S(N, StrandStatus::Active);
     std::vector<std::atomic<int>> Count(N);
-    int Steps = runPooled(
+    int Steps = runParallel(
         S,
         [&](size_t I) {
           int C = ++Count[I];
@@ -267,7 +303,7 @@ TEST(PooledStealing, ImbalancedWorkIsStolenAndCounted) {
   Rec.start(Workers, false, /*CollectMetrics=*/true);
   std::vector<StrandStatus> S(N, StrandStatus::Active);
   std::vector<std::atomic<int>> Hit(N);
-  int Steps = runPooled(
+  int Steps = runParallel(
       S,
       [&](size_t I) {
         ++Hit[I];
@@ -286,7 +322,7 @@ TEST(PooledStealing, ImbalancedWorkIsStolenAndCounted) {
             static_cast<uint64_t>(Workers));
   EXPECT_GE(R.Metrics.Gauges[observe::MgPoolThreads],
             static_cast<int64_t>(Workers));
-  // Spans stay rectangular on the pool exactly as on bsp.
+  // Spans stay rectangular: one per worker per superstep.
   ASSERT_EQ(R.Workers.size(), static_cast<size_t>(Workers));
   uint64_t SpanSum = 0;
   for (const std::vector<observe::WorkerSpan> &Row : R.Workers) {
@@ -304,7 +340,7 @@ TEST(PooledStealing, BalancedWorkNeedsNoStealsToBeCorrect) {
   Rec.start(4, false, /*CollectMetrics=*/true);
   std::vector<StrandStatus> S(N, StrandStatus::Active);
   std::vector<std::atomic<int>> Count(N);
-  int Steps = runPooled(
+  int Steps = runParallel(
       S,
       [&](size_t I) {
         int C = ++Count[I];
@@ -330,7 +366,8 @@ TEST(PooledPolicy, DeadlineStopsMidSuperstepAndReparks) {
   Rec.start(Workers);
   std::vector<StrandStatus> S(N, StrandStatus::Active);
   std::atomic<int> Updates{0};
-  int Steps = runPooled(
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  int Steps = runParallel(
       S,
       [&](size_t) {
         Updates.fetch_add(1, std::memory_order_relaxed);
@@ -338,7 +375,8 @@ TEST(PooledPolicy, DeadlineStopsMidSuperstepAndReparks) {
         return StrandStatus::Active;
       },
       100, Workers, 4, &Rec, &Ctl);
-  // runPooled returning proves the Lease drained: all workers re-parked.
+  // runParallel returning proves the Lease drained: all workers re-parked.
+  EXPECT_EQ(parksSince(Parks0), static_cast<uint64_t>(Workers));
   EXPECT_EQ(Ctl.finish(false), RunOutcome::Deadline);
   EXPECT_LT(Updates.load(), static_cast<int>(N));
   RunStats R = Rec.take(Steps, Workers);
@@ -352,28 +390,9 @@ TEST(PooledPolicy, DeadlineStopsMidSuperstepAndReparks) {
   EXPECT_EQ(SpanSum, static_cast<uint64_t>(Updates.load()));
   // The pool survives a policy stop: the next run reuses it.
   std::vector<StrandStatus> S2(64, StrandStatus::Active);
-  EXPECT_EQ(runPooled(S2, [&](size_t) { return StrandStatus::Stable; }, 100,
+  EXPECT_EQ(runParallel(S2, [&](size_t) { return StrandStatus::Stable; }, 100,
                       Workers, 4),
             1);
-}
-
-TEST(PooledPolicy, AlreadyExpiredDeadlineRunsNoUpdate) {
-  RunPolicy P;
-  P.DeadlineNs = 1;
-  RunControl Ctl(P);
-  std::vector<StrandStatus> S(100, StrandStatus::Active);
-  std::atomic<int> Updates{0};
-  runPooled(
-      S,
-      [&](size_t) {
-        ++Updates;
-        return StrandStatus::Active;
-      },
-      100, 4, 16, nullptr, &Ctl);
-  // The per-block check fires before any strand of that block updates, so
-  // an expired-at-entry deadline stops the run with zero work done.
-  EXPECT_EQ(Ctl.finish(false), RunOutcome::Deadline);
-  EXPECT_EQ(Updates.load(), 0);
 }
 
 TEST(PooledPolicy, FaultBudgetStopsAllWorkersRepark) {
@@ -383,10 +402,12 @@ TEST(PooledPolicy, FaultBudgetStopsAllWorkersRepark) {
   P.MaxFaults = 10;
   RunControl Ctl(P);
   std::vector<StrandStatus> S(N, StrandStatus::Active);
-  runPooled(
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  runParallel(
       S,
       [&](size_t) -> StrandStatus { throw std::runtime_error("boom"); },
       100, Workers, 16, nullptr, &Ctl);
+  EXPECT_EQ(parksSince(Parks0), static_cast<uint64_t>(Workers));
   EXPECT_EQ(Ctl.finish(false), RunOutcome::FaultBudget);
   std::vector<StrandFault> F = Ctl.takeFaults();
   EXPECT_GE(F.size(), 11u);
@@ -401,11 +422,13 @@ TEST(PooledPolicy, WatchdogFlagsDivergence) {
   P.WatchdogSteps = 2;
   RunControl Ctl(P);
   std::vector<StrandStatus> S(100, StrandStatus::Active);
-  int Steps = runPooled(
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  int Steps = runParallel(
       S, [&](size_t) { return StrandStatus::Active; }, 100, 4, 16, nullptr,
       &Ctl);
   EXPECT_EQ(Steps, 2);
   EXPECT_EQ(Ctl.finish(false), RunOutcome::Diverged);
+  EXPECT_EQ(parksSince(Parks0), 4u);
 }
 
 TEST(PooledPolicy, ExceptionTrappedOthersConverge) {
@@ -413,7 +436,8 @@ TEST(PooledPolicy, ExceptionTrappedOthersConverge) {
   RunControl Ctl((RunPolicy()));
   std::vector<StrandStatus> S(N, StrandStatus::Active);
   std::vector<std::atomic<int>> Count(N);
-  int Steps = runPooled(
+  uint64_t Parks0 = StrandPool::instance().parkCount();
+  int Steps = runParallel(
       S,
       [&](size_t I) -> StrandStatus {
         if (I == 13)
@@ -424,46 +448,9 @@ TEST(PooledPolicy, ExceptionTrappedOthersConverge) {
       100, 8, 16, nullptr, &Ctl);
   EXPECT_EQ(Steps, 2);
   EXPECT_EQ(Ctl.finish(true), RunOutcome::Converged);
+  EXPECT_EQ(parksSince(Parks0), 8u);
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(S[I], I == 13 ? StrandStatus::Faulted : StrandStatus::Stable);
-}
-
-//===----------------------------------------------------------------------===//
-// Dispatch plumbing
-//===----------------------------------------------------------------------===//
-
-TEST(SchedulerName, RoundTripsAndRejectsJunk) {
-  EXPECT_STREQ(schedulerName(Scheduler::Bsp), "bsp");
-  EXPECT_STREQ(schedulerName(Scheduler::Pooled), "pooled");
-  Scheduler S = Scheduler::Bsp;
-  EXPECT_TRUE(parseSchedulerName("pooled", S));
-  EXPECT_EQ(S, Scheduler::Pooled);
-  EXPECT_TRUE(parseSchedulerName("bsp", S));
-  EXPECT_EQ(S, Scheduler::Bsp);
-  S = Scheduler::Pooled;
-  for (const char *Bad : {"", "BSP", "Pooled", "pool", "bsp ", "threaded"}) {
-    EXPECT_FALSE(parseSchedulerName(Bad, S)) << "'" << Bad << "'";
-    EXPECT_EQ(S, Scheduler::Pooled) << "Out clobbered by '" << Bad << "'";
-  }
-}
-
-TEST(SchedulerName, RunScheduledDispatchesBoth) {
-  for (Scheduler Sched : {Scheduler::Bsp, Scheduler::Pooled}) {
-    const size_t N = 300;
-    std::vector<StrandStatus> S(N, StrandStatus::Active);
-    std::vector<std::atomic<int>> Count(N);
-    int Steps = runScheduled(
-        Sched, S,
-        [&](size_t I) {
-          int C = ++Count[I];
-          return C >= 2 ? StrandStatus::Stable : StrandStatus::Active;
-        },
-        100, 4, 16);
-    EXPECT_EQ(Steps, 2) << schedulerName(Sched);
-    for (size_t I = 0; I < N; ++I)
-      EXPECT_EQ(Count[I].load(), 2) << schedulerName(Sched) << " strand "
-                                    << I;
-  }
 }
 
 } // namespace

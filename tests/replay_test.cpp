@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -236,7 +237,6 @@ observe::ReplayBundle sampleBundle() {
   B.MaxSupersteps = 42;
   B.NumWorkers = 3;
   B.BlockSize = 16;
-  B.SchedulerName = "pooled";
   B.DeadlineNs = 5000000;
   B.MaxFaults = 2;
   B.WatchdogSteps = 9;
@@ -267,7 +267,6 @@ TEST(ReplayFormat, ManifestRoundTrip) {
   EXPECT_EQ(C.MaxSupersteps, B.MaxSupersteps);
   EXPECT_EQ(C.NumWorkers, B.NumWorkers);
   EXPECT_EQ(C.BlockSize, B.BlockSize);
-  EXPECT_EQ(C.SchedulerName, B.SchedulerName);
   EXPECT_EQ(C.DeadlineNs, B.DeadlineNs);
   EXPECT_EQ(C.MaxFaults, B.MaxFaults);
   EXPECT_EQ(C.WatchdogSteps, B.WatchdogSteps);
@@ -284,6 +283,17 @@ TEST(ReplayFormat, ManifestRoundTrip) {
   EXPECT_EQ(C.Steps, B.Steps);
   EXPECT_EQ(C.NumStrands, B.NumStrands);
   EXPECT_EQ(C.OutputDigest, B.OutputDigest);
+
+  // Manifests written while two parallel schedulers existed name one in
+  // "run"; the key is ignored, so those bundles still load.
+  std::string Old = observe::manifestToJson(B);
+  size_t Run = Old.find("\"block_size\"");
+  ASSERT_NE(Run, std::string::npos);
+  Old.insert(Run, "\"scheduler\": \"pooled\", ");
+  observe::ReplayBundle D;
+  ASSERT_TRUE(observe::manifestFromJson(Old, D).isOk());
+  EXPECT_EQ(D.NumWorkers, B.NumWorkers);
+  EXPECT_EQ(D.BlockSize, B.BlockSize);
 }
 
 TEST(ReplayFormat, ManifestRejectsBadSchema) {
@@ -358,18 +368,14 @@ TEST(ReplayDeterminism, SchedulersAgree) {
     rt::RunConfig Seq;
     Seq.MaxSupersteps = 100;
     Seq.NumWorkers = 0;
-    rt::RunConfig Bsp = Seq;
-    Bsp.NumWorkers = 3;
-    Bsp.Sched = rt::Scheduler::Bsp;
-    rt::RunConfig Pooled = Seq;
-    Pooled.NumWorkers = 3;
-    Pooled.Sched = rt::Scheduler::Pooled;
     std::vector<support::Hash128> A = digestsUnder(*CP, Seq, Img);
-    std::vector<support::Hash128> B = digestsUnder(*CP, Bsp, Img);
-    std::vector<support::Hash128> C = digestsUnder(*CP, Pooled, Img);
     ASSERT_GT(A.size(), 2u);
-    EXPECT_EQ(A, B) << "sequential vs bsp digest streams differ";
-    EXPECT_EQ(A, C) << "sequential vs pooled digest streams differ";
+    for (int Workers : {1, 3, 4}) {
+      rt::RunConfig Par = Seq;
+      Par.NumWorkers = Workers;
+      EXPECT_EQ(A, digestsUnder(*CP, Par, Img))
+          << "sequential vs " << Workers << "-worker digest streams differ";
+    }
   }
 }
 
@@ -389,15 +395,14 @@ TEST(ReplayDeterminism, NativeDoubleMatchesInterp) {
     ASSERT_GT(A.size(), 2u);
     ASSERT_FALSE(B.empty()) << "native digest capture missing (ABI < 7?)";
     EXPECT_EQ(A, B) << "interp vs native-double digest streams differ";
-    // And across schedulers on the native side too.
-    rt::RunConfig Bsp = RC;
-    Bsp.NumWorkers = 3;
-    Bsp.Sched = rt::Scheduler::Bsp;
-    EXPECT_EQ(A, digestsUnder(*CN, Bsp, Img));
-    rt::RunConfig Pooled = RC;
-    Pooled.NumWorkers = 3;
-    Pooled.Sched = rt::Scheduler::Pooled;
-    EXPECT_EQ(A, digestsUnder(*CN, Pooled, Img));
+    // And across worker counts on the native side too.
+    for (int Workers : {1, 3, 4}) {
+      rt::RunConfig Par = RC;
+      Par.NumWorkers = Workers;
+      EXPECT_EQ(A, digestsUnder(*CN, Par, Img))
+          << "interp vs native-double " << Workers
+          << "-worker digest streams differ";
+    }
   }
 }
 
@@ -436,6 +441,25 @@ TEST(ReplayFidelity, RecordReplayMatches) {
   EXPECT_TRUE(R->DigestsCompared);
   EXPECT_FALSE(R->Div.Diverged) << R->Div.Summary;
   EXPECT_NE(R->Text.find("verdict: MATCH"), std::string::npos);
+
+  // A bundle recorded while the manifest still named a scheduler replays
+  // the same way.
+  fs::path Manifest = fs::path(Dir) / observe::bundleManifestFile();
+  std::string Text;
+  {
+    std::ifstream In(Manifest);
+    Text.assign(std::istreambuf_iterator<char>(In), {});
+  }
+  size_t Run = Text.find("\"block_size\"");
+  ASSERT_NE(Run, std::string::npos);
+  Text.insert(Run, "\"scheduler\": \"bsp\", ");
+  {
+    std::ofstream Out(Manifest, std::ios::trunc);
+    Out << Text;
+  }
+  Result<ReplayReport> Old = replayBundle(Dir);
+  ASSERT_TRUE(Old.isOk()) << Old.message();
+  EXPECT_TRUE(Old->Match) << Old->Text;
   fs::remove_all(Dir);
 }
 

@@ -375,7 +375,7 @@ TEST(RunPolicyParallel, DeadlineStopsMidSuperstepAndJoins) {
         return StrandStatus::Active;
       },
       100, Workers, 4, &Rec, &Ctl);
-  // runParallel returning proves all workers joined.
+  // runParallel returning proves all workers re-parked.
   EXPECT_EQ(Ctl.finish(false), RunOutcome::Deadline);
   EXPECT_LT(Updates.load(), static_cast<int>(N)); // stopped mid-superstep
   RunStats R = Rec.take(Steps, Workers);
@@ -392,7 +392,7 @@ TEST(RunPolicyParallel, DeadlineStopsMidSuperstepAndJoins) {
 }
 
 /// Fault-budget exhaustion with every strand throwing: the stop propagates
-/// to all 8 workers, the pool shuts down, and every fault that was recorded
+/// to all 8 workers, they return to the pool, and every fault recorded
 /// before the stop is preserved.
 TEST(RunPolicyParallel, FaultBudgetStopsAllWorkersJoin) {
   const int Workers = 8;
@@ -421,6 +421,25 @@ TEST(RunPolicyParallel, FaultBudgetStopsAllWorkersJoin) {
     EXPECT_GE(Fault.Worker, 0);
     EXPECT_LT(Fault.Worker, Workers);
   }
+}
+
+TEST(RunPolicyParallel, AlreadyExpiredDeadlineRunsNoUpdate) {
+  RunPolicy P;
+  P.DeadlineNs = 1;
+  RunControl Ctl(P);
+  std::vector<StrandStatus> S(100, StrandStatus::Active);
+  std::atomic<int> Updates{0};
+  runParallel(
+      S,
+      [&](size_t) {
+        ++Updates;
+        return StrandStatus::Active;
+      },
+      100, 4, 16, nullptr, &Ctl);
+  // The per-block check fires before any strand of that block updates, so
+  // an expired-at-entry deadline stops the run with zero work done.
+  EXPECT_EQ(Ctl.finish(false), RunOutcome::Deadline);
+  EXPECT_EQ(Updates.load(), 0);
 }
 
 TEST(RunPolicyParallel, WatchdogFlagsDivergence) {

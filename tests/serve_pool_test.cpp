@@ -1,12 +1,12 @@
-//===--- tests/serve_pool_test.cpp - pooled scheduling through the daemon ----===//
+//===--- tests/serve_pool_test.cpp - parallel job runs through the daemon ----===//
 //
 // Part of the Diderot-C++ reproduction (PLDI 2012).
 //
 // The serving-side face of the persistent StrandPool: a daemon configured
-// with --scheduler pooled (or a request carrying X-Diderot-Scheduler)
-// runs its jobs on the pool, repeated /run jobs reuse the parked threads
-// instead of growing the pool, and the run-limit headers that used to go
-// through bare atoi now 400 on malformed values. Interp-engine only, so
+// with --run-workers N >= 1 runs its jobs on the pool, repeated /run jobs
+// reuse the parked threads instead of growing the pool, concurrent jobs
+// take turns on it, and the run-limit headers that used to go through
+// bare atoi now 400 on malformed values. Interp-engine only, so
 // the whole file also compiles into the serve_pool_tsan target (the runs
 // execute in-process, on the host's own pool singleton — which is exactly
 // what lets these tests observe the thread count directly).
@@ -15,6 +15,7 @@
 
 #include "serve/daemon.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -31,13 +32,15 @@
 
 #include <gtest/gtest.h>
 
+#include "nrrd/nrrd.h"
 #include "runtime/scheduler.h"
 
 namespace diderot {
 namespace {
 
-/// Enough strands for several blocks per worker, so pooled runs exercise
-/// the deques; strand i stabilizes after (i % 4) + 1 updates.
+/// Four 4096-strand work-list blocks (the daemon runs with the default
+/// block size), so a 4-worker run leases every worker and a 2-worker run
+/// has two blocks per deque; strand i stabilizes after (i % 4) + 1 updates.
 const char *PoolProg = R"(
 strand S (int i) {
   int it = 0;
@@ -48,7 +51,7 @@ strand S (int i) {
     if (it > i - (i / 4) * 4) stabilize;
   }
 }
-initially [ S(i) | i in 0 .. 63 ];
+initially [ S(i) | i in 0 .. 16383 ];
 )";
 
 std::string tempDir(const char *Tag) {
@@ -144,8 +147,22 @@ serve::DaemonOptions pooledOptions(const std::string &CacheDir,
   O.Compile.Eng = Engine::Interp;
   O.Compile.WorkDir = CacheDir;
   O.RunWorkers = RunWorkers;
-  O.RunScheduler = rt::Scheduler::Pooled;
   return O;
+}
+
+/// Fetch a finished job's output and decode the NRRD samples.
+std::vector<double> fetchOutput(int Port, const std::string &JobJson) {
+  std::vector<double> Out;
+  Reply R = httpDo(Port, "GET", "/jobs/" + jsonField(JobJson, "job") +
+                                    "/output");
+  EXPECT_EQ(R.Code, 200) << R.Raw;
+  Result<Nrrd> N = nrrdParse(R.Body);
+  EXPECT_TRUE(N.isOk()) << (N.isOk() ? "" : N.message());
+  if (!N.isOk())
+    return Out;
+  for (size_t S = 0; S < N->numSamples(); ++S)
+    Out.push_back(N->sampleAsDouble(S));
+  return Out;
 }
 
 } // namespace
@@ -185,23 +202,43 @@ TEST(ServePool, RepeatedJobsReuseParkedThreads) {
   D.stop();
 }
 
-TEST(ServePool, SchedulerHeaderOverridesDaemonDefault) {
-  // Daemon defaults to bsp; the request opts into pooled per job.
-  std::string Cache = tempDir("override");
-  serve::DaemonOptions O = pooledOptions(Cache);
-  O.RunScheduler = rt::Scheduler::Bsp;
+TEST(ServePool, ConcurrentJobsTakeTurnsOnOnePool) {
+  // Four job workers each run a 2-worker job at once. The pool is one per
+  // process, so the runs queue on its Lease instead of spawning 2 threads
+  // per job: every job still finishes with the right output, and the pool
+  // holds 2 threads (or whatever an earlier test in this process grew it
+  // to), not 8.
+  serve::DaemonOptions O = pooledOptions(tempDir("turns"), 2);
+  O.JobWorkers = 4;
   serve::Daemon D;
   ASSERT_TRUE(D.start(O).isOk());
-  EXPECT_EQ(jsonField(runAndWait(D.port(), PoolProg,
-                                 {{"X-Diderot-Scheduler", "pooled"}}),
-                      "state"),
-            "done");
-  // And the reverse: a pooled daemon serving an explicit bsp request.
-  EXPECT_EQ(jsonField(runAndWait(D.port(), PoolProg,
-                                 {{"X-Diderot-Scheduler", "bsp"}}),
-                      "state"),
-            "done");
-  EXPECT_EQ(D.counters().JobsDone, 2u);
+  rt::StrandPool &P = rt::StrandPool::instance();
+  const int Before = P.threadCount();
+  // Strand i ends at i + (i % 4) + 1: one update per superstep it was live.
+  std::vector<double> Golden;
+  for (int I = 0; I < 16384; ++I)
+    Golden.push_back(I + I % 4 + 1);
+  const int Jobs = 8;
+  std::vector<std::string> Ids;
+  for (int J = 0; J < Jobs; ++J) {
+    Reply R = httpDo(D.port(), "POST", "/run", PoolProg);
+    ASSERT_EQ(R.Code, 202) << R.Raw;
+    Ids.push_back(jsonField(R.Body, "job"));
+  }
+  for (const std::string &Id : Ids) {
+    std::string Job;
+    for (int Tries = 0; Tries < 600; ++Tries) {
+      Job = httpDo(D.port(), "GET", "/jobs/" + Id).Body;
+      std::string State = jsonField(Job, "state");
+      if (State == "done" || State == "failed")
+        break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(jsonField(Job, "state"), "done") << Job;
+    EXPECT_EQ(fetchOutput(D.port(), Job), Golden) << "job " << Id;
+  }
+  EXPECT_EQ(P.threadCount(), std::max(Before, 2));
+  EXPECT_EQ(D.counters().JobsDone, static_cast<uint64_t>(Jobs));
   D.stop();
 }
 
@@ -212,9 +249,7 @@ TEST(ServePool, MalformedRunHeadersAre400NamingTheHeader) {
     const char *Header;
     const char *Value;
   };
-  for (const Case &C : {Case{"X-Diderot-Scheduler", "fastest"},
-                        Case{"X-Diderot-Scheduler", "POOLED"},
-                        Case{"X-Diderot-Steps", "ten"},
+  for (const Case &C : {Case{"X-Diderot-Steps", "ten"},
                         Case{"X-Diderot-Steps", "-1"},
                         Case{"X-Diderot-Steps", "1e9"},
                         Case{"X-Diderot-Run-Workers", "4x"},
@@ -237,8 +272,7 @@ TEST(ServePool, MalformedRunHeadersAre400NamingTheHeader) {
   EXPECT_EQ(jsonField(runAndWait(D.port(), PoolProg,
                                  {{"X-Diderot-Steps", "50"},
                                   {"X-Diderot-Run-Workers", "2"},
-                                  {"X-Diderot-Deadline-Ms", "60000"},
-                                  {"X-Diderot-Scheduler", "pooled"}}),
+                                  {"X-Diderot-Deadline-Ms", "60000"}}),
                       "state"),
             "done");
   D.stop();
