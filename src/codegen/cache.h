@@ -10,7 +10,8 @@
 /// ("compile once, serve many"). The key is a 128-bit FNV-1a hash over the
 /// program text, the compile options that change the generated code or its
 /// binary, the ddr_* runtime ABI version, the runtime headers the generated
-/// code includes, and the host compiler identity and fixed flags —
+/// code includes, and the host compiler identity and flags (with the ISA
+/// level generated code targets) —
 /// replacing the earlier std::hash<std::string> size_t key, which had no
 /// collision guarantee, was unstable across standard libraries, and omitted
 /// ABI and compiler identity entirely.
@@ -53,11 +54,18 @@
 
 namespace diderot::codegen {
 
+/// The instruction-set level generated code is compiled for, picked once
+/// per process from the running CPU: "x86-64-v3" (AVX2, FMA, BMI2) when it
+/// supports that level, otherwise "x86-64" (no -march, the compiler's
+/// baseline); "default" on non-x86 builds.
+const char *hostIsaLevel();
+
 /// Identity of the host toolchain baked into cache keys: the configured
-/// compiler path plus the version banner of the compiler that built this
-/// driver. Deliberately NOT the DIDEROT_CXX environment override — that is
-/// an operational redirect (and the poison-the-compiler cache tests rely on
-/// a warm cache surviving it), not a different artifact identity.
+/// compiler path, the version banner of the compiler that built this
+/// driver, and " isa=" hostIsaLevel(). Deliberately NOT the DIDEROT_CXX
+/// environment override — that is an operational redirect (and the
+/// poison-the-compiler cache tests rely on a warm cache surviving it), not
+/// a different artifact identity.
 std::string hostCompilerId();
 
 /// The runtime headers every generated translation unit compiles against:
@@ -75,9 +83,9 @@ support::Hash128 runtimeHeaderDigest(const std::string &SrcDir);
 /// feeds the next stage: the native loader keys on the generated C++
 /// translation unit; the serve daemon keys its program registry on Diderot
 /// source. Both incorporate every CompileOptions field that changes the
-/// result, plus DdrAbiVersion, hostCompilerId(), the fixed host-compiler
-/// flags and the runtime header digest (computed once per process from the
-/// configured source root).
+/// result, plus DdrAbiVersion, hostCompilerId(), the host-compiler flags
+/// (computed once per process, with the ISA level) and the runtime header
+/// digest (computed once per process from the configured source root).
 support::Hash128 programCacheKey(const std::string &Text,
                                  const CompileOptions &Opts);
 /// As above with an explicit runtime header digest.

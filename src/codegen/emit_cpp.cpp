@@ -467,12 +467,16 @@ void FnEmitter::emitInstr(std::ostringstream &OS, int Indent, const Instr &I,
     std::string MV = strf("em_", Tag);
     std::string LV = strf("el_", Tag);
     std::string VV = strf("ev_", Tag);
-    std::string Init;
-    for (size_t K = 0; K < I.Operands.size(); ++K)
-      Init += strf(K ? ", " : "", op(I, K));
-    line(OS, Indent, strf("Real ", MV, "[", N * N, "] = {", Init, "};"));
-    line(OS, Indent, strf("Real ", LV, "[", N, "];"));
+    auto List = [&](size_t From, size_t To) {
+      std::string Init;
+      for (size_t K = From; K < To; ++K)
+        Init += strf(K > From ? ", " : "", op(I, K));
+      return Init;
+    };
+    size_t NN = static_cast<size_t>(N * N);
+    line(OS, Indent, strf("Real ", MV, "[", NN, "] = {", List(0, NN), "};"));
     if (I.Opcode == Op::EigenVals) {
+      line(OS, Indent, strf("Real ", LV, "[", N, "];"));
       line(OS, Indent, strf(N == 2 ? "diderot::eigenvalsSym2(" :
                                      "diderot::eigenvalsSym3(",
                             MV, ", ", LV, ");"));
@@ -482,9 +486,12 @@ void FnEmitter::emitInstr(std::ostringstream &OS, int Indent, const Instr &I,
                strf("const Real ", name(I.Results[static_cast<size_t>(K)]),
                     " = ", LV, "[", K, "];"));
     } else {
-      line(OS, Indent, strf("Real ", VV, "[", N * N, "];"));
-      line(OS, Indent, strf(N == 2 ? "diderot::eigensystemSym2(" :
-                                     "diderot::eigensystemSym3(",
+      line(OS, Indent,
+           strf("const Real ", LV, "[", N, "] = {",
+                List(NN, I.Operands.size()), "};"));
+      line(OS, Indent, strf("Real ", VV, "[", NN, "];"));
+      line(OS, Indent, strf(N == 2 ? "diderot::eigenvecsSym2(" :
+                                     "diderot::eigenvecsSym3(",
                             MV, ", ", LV, ", ", VV, ");"));
       for (int K = 0; K < N * N; ++K)
         if (Used[static_cast<size_t>(I.Results[static_cast<size_t>(K)])])

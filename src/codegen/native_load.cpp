@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string_view>
 #include <type_traits>
 #include "observe/observe.h"
 #include "observe/profiler.h"
@@ -40,11 +41,23 @@
 
 namespace diderot::codegen {
 
+const char *hostIsaLevel() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  static const char *const Level =
+      __builtin_cpu_supports("x86-64-v3") ? "x86-64-v3" : "x86-64";
+  return Level;
+#else
+  return "default";
+#endif
+}
+
 std::string hostCompilerId() {
   // The configured compiler plus the banner of the compiler that built this
-  // driver (a stable proxy for the toolchain revision). See cache.h for why
-  // the DIDEROT_CXX environment override is intentionally excluded.
-  return strf(DIDEROT_HOST_CXX, " host=", __VERSION__);
+  // driver (a stable proxy for the toolchain revision) and the ISA level
+  // generated code targets. See cache.h for why the DIDEROT_CXX environment
+  // override is intentionally excluded.
+  return strf(DIDEROT_HOST_CXX, " host=", __VERSION__, " isa=",
+              hostIsaLevel());
 }
 
 std::vector<std::string> runtimeHeaderClosure(const std::string &SrcDir) {
@@ -101,15 +114,31 @@ support::Hash128 runtimeHeaderDigest(const std::string &SrcDir) {
 }
 
 namespace {
-/// The fixed host-compiler flags of every generated object. -O3 matches the
-/// paper's experimental setup; the generated straight-line convolution code
-/// is what the host compiler vectorizes. -falign-functions=64 starts each
-/// function on a cache line, so the hot update and eigen routines keep
-/// their 32-byte branch alignment whatever the size of the runtime code
-/// emitted before them (on a 4-CPU AVX-512 Xeon VM, a 16-byte shift of
-/// those functions slowed ridge3d's sequential run by a third).
-constexpr const char *HostCxxFlags[] = {"-O3", "-std=c++20", "-shared",
-                                        "-fPIC", "-falign-functions=64"};
+/// The host-compiler flags of every generated object, computed once per
+/// process. -O3 matches the paper's experimental setup; the generated
+/// straight-line convolution code is what the host compiler vectorizes, and
+/// on an x86-64-v3 CPU it may use AVX2's 256-bit registers (other CPUs get
+/// the compiler's baseline, no -march). -ffp-contract=off keeps the
+/// compiler from fusing a multiply and an add into one FMA, which rounds
+/// once instead of twice: with fusion every output moved in its last bits
+/// and native digests no longer matched the interpreter's; without it both
+/// levels compute the same bits. -falign-functions=64 starts each function
+/// on a cache line, so the hot update and eigen routines keep their 32-byte
+/// branch alignment whatever the size of the runtime code emitted before
+/// them (on a 4-CPU AVX-512 Xeon VM, a 16-byte shift of those functions
+/// slowed ridge3d's sequential run by a third). These flags are part of
+/// the cache key, so a cache directory shared with a CPU of another level
+/// misses rather than load code that CPU cannot execute.
+const std::vector<std::string> &hostCxxFlags() {
+  static const std::vector<std::string> Flags = [] {
+    std::vector<std::string> F = {"-O3", "-std=c++20", "-shared", "-fPIC",
+                                  "-falign-functions=64", "-ffp-contract=off"};
+    if (std::string_view(hostIsaLevel()) == "x86-64-v3")
+      F.push_back("-march=x86-64-v3");
+    return F;
+  }();
+  return Flags;
+}
 } // namespace
 
 support::Hash128 programCacheKey(const std::string &Text,
@@ -126,7 +155,7 @@ support::Hash128 programCacheKey(const std::string &Text,
   H.updateField("ddr-abi");
   H.updateField(static_cast<int64_t>(DdrAbiVersion));
   H.updateField(hostCompilerId());
-  for (const char *F : HostCxxFlags)
+  for (const std::string &F : hostCxxFlags())
     H.updateField(F);
   H.updateField(RuntimeDigest.hex());
   H.updateField(static_cast<int64_t>(Opts.Eng == Engine::Interp ? 0 : 1));
@@ -256,7 +285,7 @@ Result<const LoadedLib *> compileAndLoad(const std::string &Source,
     support::SubprocessCommand Cmd;
     // The override may carry flags ("ccache g++ -pipe"): split into words.
     Cmd.Argv = support::splitCommandWords(Cxx);
-    for (const char *F : HostCxxFlags)
+    for (const std::string &F : hostCxxFlags())
       Cmd.Argv.push_back(F);
     Cmd.Argv.push_back(strf("-I", DIDEROT_SRC_DIR));
     for (std::string &F : support::splitCommandWords(Opts.ExtraCxxFlags))
@@ -633,8 +662,7 @@ std::shared_ptr<const NativeDescs> nativeDescs(const ir::Module &M) {
       D->Inputs.push_back({G.Name, G.Ty.str(), G.DefaultFn >= 0});
   for (const ir::StateSlot &S : M.State)
     if (S.IsOutput)
-      D->Outputs.push_back({S.Name, S.Ty.isTensor() ? S.Ty.shape() : Shape{},
-                            S.Ty.isInt()});
+      D->Outputs.push_back({S.Name, S.Ty.isTensor() ? S.Ty.shape() : Shape{}});
   return D;
 }
 

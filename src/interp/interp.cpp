@@ -556,8 +556,7 @@ public:
     std::vector<rt::OutputDesc> Out;
     for (const ir::StateSlot &S : M.State)
       if (S.IsOutput)
-        Out.push_back({S.Name, S.Ty.isTensor() ? S.Ty.shape() : Shape{},
-                       S.Ty.isInt()});
+        Out.push_back({S.Name, S.Ty.isTensor() ? S.Ty.shape() : Shape{}});
     return Out;
   }
 

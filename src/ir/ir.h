@@ -148,7 +148,7 @@ enum class Op : uint8_t {
   PolyEval,   ///< (x) attr vector<double> coefficients (Horner)
   ImgMeta,    ///< (image) attr MetaAttr -> scalar/int image metadata
   EigenVals,  ///< (n*n scalars) attr n -> n scalar results
-  EigenVecs,  ///< (n*n scalars) attr n -> n*n scalar results
+  EigenVecs,  ///< (n*n scalars, its n EigenVals) attr n -> n*n results
 
   // Structured control flow.
   If, ///< (cond) regions {then, else}; results = merged yields

@@ -507,19 +507,29 @@ Status Scalarize::lowerInstr(Instr &I, ir::Region &R) {
   }
   case Op::Evals:
   case Op::Evecs: {
+    // Eigenvectors take the eigenvalues as operands, so evals(H) and
+    // evecs(H) of one matrix share a single EigenVals after value numbering
+    // and the decomposition's eigenvalue half runs once.
     const Type &T = Old.typeOf(I.Operands[0]);
     int N = T.shape()[0];
-    Instr NI(I.Opcode == Op::Evals ? Op::EigenVals : Op::EigenVecs);
-    NI.A = static_cast<int64_t>(N);
-    for (ValueId C : comps(I.Operands[0]))
-      NI.Operands.push_back(C);
-    int NumRes = I.Opcode == Op::Evals ? N : N * N;
-    std::vector<ValueId> Slots;
-    for (int K = 0; K < NumRes; ++K)
-      Slots.push_back(New.newValue(Type::real()));
-    NI.Results = Slots;
-    R.Body.push_back(std::move(NI));
-    bind(I, std::move(Slots));
+    auto Eigen = [&](Op O, std::vector<ValueId> Operands, int NumRes) {
+      Instr NI(O);
+      NI.A = static_cast<int64_t>(N);
+      NI.Operands = std::move(Operands);
+      for (int K = 0; K < NumRes; ++K)
+        NI.Results.push_back(New.newValue(Type::real()));
+      std::vector<ValueId> Slots = NI.Results;
+      R.Body.push_back(std::move(NI));
+      return Slots;
+    };
+    std::vector<ValueId> M = comps(I.Operands[0]);
+    std::vector<ValueId> L = Eigen(Op::EigenVals, M, N);
+    if (I.Opcode == Op::Evals) {
+      bind(I, std::move(L));
+      return Status::ok();
+    }
+    M.insert(M.end(), L.begin(), L.end());
+    bind(I, Eigen(Op::EigenVecs, std::move(M), N * N));
     return Status::ok();
   }
 

@@ -55,8 +55,7 @@ struct InputDesc {
 /// Description of one output (an `output` strand state variable).
 struct OutputDesc {
   std::string Name;
-  Shape ValShape;     ///< per-strand tensor shape ([] for int outputs too)
-  bool IsInt = false; ///< int-typed output
+  Shape ValShape; ///< per-strand tensor shape ([] for int outputs too)
 };
 
 /// Everything run() needs to know: scheduling shape plus which observability

@@ -30,11 +30,11 @@ template <typename Real> inline void eigenvalsSym2(const Real *M, Real *L) {
   L[1] = Mean - Disc;
 }
 
-/// Eigenvalues and unit eigenvectors of a symmetric 2x2 matrix; V is a 2x2
-/// row-major matrix whose row i is the eigenvector for L[i].
+/// Unit eigenvectors of a symmetric 2x2 matrix for its eigenvalues L (as
+/// eigenvalsSym2 returns them); V is a 2x2 row-major matrix whose row i is
+/// the eigenvector for L[i].
 template <typename Real>
-inline void eigensystemSym2(const Real *M, Real *L, Real *V) {
-  eigenvalsSym2(M, L);
+inline void eigenvecsSym2(const Real *M, const Real *L, Real *V) {
   for (int I = 0; I < 2; ++I) {
     // (M - L I) v = 0: take the larger-magnitude row's orthogonal complement.
     Real R0[2] = {M[0] - L[I], M[1]};
@@ -56,6 +56,13 @@ inline void eigensystemSym2(const Real *M, Real *L, Real *V) {
     V[2 * I + 0] = VX / N;
     V[2 * I + 1] = VY / N;
   }
+}
+
+/// Eigenvalues and unit eigenvectors of a symmetric 2x2 matrix.
+template <typename Real>
+inline void eigensystemSym2(const Real *M, Real *L, Real *V) {
+  eigenvalsSym2(M, L);
+  eigenvecsSym2(M, L, V);
 }
 
 /// Eigenvalues of a symmetric 3x3 row-major matrix M, descending, into
@@ -159,11 +166,10 @@ inline void eigenvecSym3(const Real *M, Real Lam, Real *V) {
   V[2] = Best[2] / N;
 }
 
-/// Full symmetric 3x3 eigensystem: eigenvalues descending in L[0..2],
-/// matching unit eigenvectors as rows of the row-major 3x3 matrix V.
+/// Unit eigenvectors of symmetric 3x3 M for its eigenvalues L (as
+/// eigenvalsSym3 returns them), as rows of the row-major 3x3 matrix V.
 template <typename Real>
-inline void eigensystemSym3(const Real *M, Real *L, Real *V) {
-  eigenvalsSym3(M, L);
+inline void eigenvecsSym3(const Real *M, const Real *L, Real *V) {
   eigenvecSym3(M, L[0], V + 0);
   eigenvecSym3(M, L[2], V + 6);
   // Middle eigenvector: orthogonal to the other two (robust for clustered
@@ -179,6 +185,14 @@ inline void eigensystemSym3(const Real *M, Real *L, Real *V) {
   } else {
     eigenvecSym3(M, L[1], V + 3);
   }
+}
+
+/// Full symmetric 3x3 eigensystem: eigenvalues descending in L[0..2],
+/// matching unit eigenvectors as rows of the row-major 3x3 matrix V.
+template <typename Real>
+inline void eigensystemSym3(const Real *M, Real *L, Real *V) {
+  eigenvalsSym3(M, L);
+  eigenvecsSym3(M, L, V);
 }
 
 } // namespace diderot

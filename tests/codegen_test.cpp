@@ -11,12 +11,16 @@
 #include <fstream>
 #include <regex>
 #include <set>
+#include <string_view>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "codegen/cache.h"
 #include "codegen/config.h"
 #include "driver/driver.h"
+#include "observe/digest.h"
+#include "synth/synth.h"
 #include "support/strings.h"
 #include "support/subprocess.h"
 #include "testprograms.h"
@@ -161,6 +165,31 @@ strand S (int i) {
 initially [ S(i) | i in 0 .. 3 ];
 )");
   EXPECT_NE(S.find("diderot::eigenvalsSym3("), std::string::npos);
+
+  // ridge3d takes evals and evecs of one Hessian: each update body computes
+  // its eigenvalues once, and the eigenvectors reuse them.
+  auto CountOf = [](const std::string &Hay, const std::string &Needle) {
+    size_t N = 0;
+    for (size_t P = Hay.find(Needle); P != std::string::npos;
+         P = Hay.find(Needle, P + Needle.size()))
+      ++N;
+    return N;
+  };
+  Result<CompiledProgram> CP = compileFile(std::string(DIDEROT_REPO_DIR) +
+                                           "/bench/programs/ridge3d.diderot");
+  ASSERT_TRUE(CP.isOk()) << CP.message();
+  S = CP->emitCpp();
+  for (const char *Fn : {"ExitKind f_update(", "ExitKind f_update_prof("}) {
+    SCOPED_TRACE(Fn);
+    size_t Begin = S.find(Fn);
+    ASSERT_NE(Begin, std::string::npos);
+    size_t End = S.find("\n}\n", Begin);
+    ASSERT_NE(End, std::string::npos);
+    std::string Body = S.substr(Begin, End - Begin);
+    EXPECT_EQ(CountOf(Body, "diderot::eigenvalsSym3("), 1u);
+    EXPECT_EQ(CountOf(Body, "diderot::eigenvecsSym3("), 1u);
+    EXPECT_EQ(CountOf(Body, "eigensystemSym3"), 0u);
+  }
 }
 
 TEST(Codegen, StabilizeMethodEmitted) {
@@ -216,6 +245,74 @@ TEST(Codegen, EmittedCppIsWarningFree) {
     fs::remove(Cpp);
     ASSERT_TRUE(R.isOk()) << R.message();
     EXPECT_TRUE(R->succeeded()) << Rel << ":\n" << R->Output;
+  }
+}
+
+/// One smoke-size run of ridge3d (Hessian probes, evals and evecs).
+struct RidgeRun {
+  std::string CacheKey; ///< native engine only
+  std::vector<support::Hash128> Digests;
+  std::vector<double> Pos;
+  size_t Stable = 0;
+};
+
+RidgeRun runRidge3d(const CompileOptions &Opts) {
+  RidgeRun R;
+  Result<CompiledProgram> CP = compileFile(
+      std::string(DIDEROT_REPO_DIR) + "/bench/programs/ridge3d.diderot", Opts);
+  EXPECT_TRUE(CP.isOk()) << CP.message();
+  if (!CP.isOk())
+    return R;
+  if (Opts.Eng == Engine::Native)
+    R.CacheKey = codegen::programCacheKey(CP->emitCpp(), Opts).hex();
+  Result<std::unique_ptr<rt::ProgramInstance>> I = CP->instantiate();
+  EXPECT_TRUE(I.isOk()) << I.message();
+  if (!I.isOk())
+    return R;
+  static const Image Lung = synth::lungVessels(32);
+  EXPECT_TRUE((*I)->setInputImage("lung", Lung).isOk());
+  EXPECT_TRUE((*I)->setInputInt("res", 10).isOk());
+  EXPECT_TRUE((*I)->initialize().isOk());
+  rt::RunConfig RC;
+  RC.MaxSupersteps = 100;
+  RC.CollectDigests = true;
+  Result<rt::RunStats> Run = (*I)->run(RC);
+  EXPECT_TRUE(Run.isOk()) << Run.message();
+  if (const observe::DigestLog *L = (*I)->digestLog())
+    R.Digests = L->Entries;
+  EXPECT_TRUE((*I)->getOutput("pos", R.Pos).isOk());
+  R.Stable = (*I)->numStable();
+  return R;
+}
+
+/// Generated code built for the host's ISA level computes the same bits as
+/// a baseline x86-64 build (-ffp-contract=off keeps the compiler from fusing
+/// multiply-adds), and both --double builds still match the interpreter.
+/// The two builds are distinct cache artifacts.
+TEST(Codegen, HostIsaLevelKeepsOutputsAndDigests) {
+  if (std::string_view(codegen::hostIsaLevel()) != "x86-64-v3")
+    GTEST_SKIP() << "host CPU lacks x86-64-v3 (level "
+                 << codegen::hostIsaLevel() << ")";
+  CompileOptions Level;
+  CompileOptions Base;
+  Base.ExtraCxxFlags = "-march=x86-64";
+  RidgeRun A = runRidge3d(Level);
+  RidgeRun B = runRidge3d(Base);
+  EXPECT_NE(A.CacheKey, B.CacheKey);
+  ASSERT_GT(A.Digests.size(), 2u);
+  ASSERT_GT(A.Stable, 0u) << "no strand reached the eigenvector path";
+  EXPECT_EQ(A.Digests, B.Digests) << "digest streams differ across levels";
+  EXPECT_EQ(A.Pos, B.Pos) << "single-precision outputs differ across levels";
+
+  CompileOptions Interp;
+  Interp.Eng = Engine::Interp;
+  RidgeRun Ref = runRidge3d(Interp);
+  ASSERT_GT(Ref.Digests.size(), 2u);
+  for (CompileOptions Opts : {Level, Base}) {
+    SCOPED_TRACE(Opts.ExtraCxxFlags);
+    Opts.DoublePrecision = true;
+    EXPECT_EQ(runRidge3d(Opts).Digests, Ref.Digests)
+        << "native --double digests differ from the interpreter's";
   }
 }
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Black-box smoke test of a real diderotd process: start it on an ephemeral
-# port, compile the same program twice (the second must be a cache hit), run
-# it, poll the job, fetch the NRRD output and its request trace, scrape
-# /metrics — then restart the daemon on the same cache dir and prove the
-# warm-up compile is served from disk without a host-compiler invocation,
-# and that after an edit to a runtime header the generated code includes
-# the same program is compiled afresh instead of served stale from disk.
+# port, compile the same program twice (the second must be a cache hit),
+# check the ISA level the cache index records, run it, poll the job, fetch
+# the NRRD output and its request trace, scrape /metrics — then restart the
+# daemon on the same cache dir and prove the warm-up compile is served from
+# disk without a host-compiler invocation, and that after an edit to a
+# runtime header the generated code includes the same program is compiled
+# afresh instead of served stale from disk.
 # Run by CI (daemon-smoke job) and runnable locally:
 #
 #   tests/daemon_smoke.sh build/src/serve/diderotd tests/cli_isocontour.diderot
@@ -86,6 +87,21 @@ echo "$R1" | grep -q '"cached":false' || fail "first compile claimed cached"
 R2=$(post /compile)
 echo "daemon_smoke: compile #2: $R2"
 echo "$R2" | grep -q '"cached":true' || fail "second compile was not a cache hit"
+
+# 1b. The cache index records the ISA level the artifact was built for in
+# its compiler-id column (the 4th), and a CPU with the x86-64-v3 feature
+# set gets v3 code on the serving path too.
+[ -s "$CACHE/index.tsv" ] || fail "no index.tsv in the cache directory"
+LEVELS=$(cut -f4 "$CACHE/index.tsv" | sed -n 's/.* isa=\([^ ]*\).*/\1/p' | sort -u)
+echo "daemon_smoke: cache ISA level: ${LEVELS:-none}"
+[ -n "$LEVELS" ] || fail "index.tsv compiler-id column has no isa= level"
+V3=yes
+for f in avx avx2 bmi1 bmi2 f16c fma movbe xsave abm; do
+  grep -qw "$f" /proc/cpuinfo 2>/dev/null || V3=no
+done
+if [ "$V3" = yes ] && [ "$LEVELS" != x86-64-v3 ]; then
+  fail "CPU supports x86-64-v3 but the cache was built for: $LEVELS"
+fi
 
 # 2. Async run: submit, poll to completion, fetch the output bytes.
 RUN=$(post /run -H 'X-Diderot-Input: ddro=synth:portrait:48')

@@ -93,7 +93,6 @@ TEST(Driver, InputIntrospection) {
   std::vector<rt::OutputDesc> Outs = (*I)->outputs();
   ASSERT_EQ(Outs.size(), 1u);
   EXPECT_EQ(Outs[0].Name, "x");
-  EXPECT_FALSE(Outs[0].IsInt);
 }
 
 TEST(Driver, LoadGlobalReadsNrrdAtInitialize) {

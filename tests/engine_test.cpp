@@ -230,16 +230,24 @@ TEST(Engine, NativeMatchesInterpOnCurvatureProbes) {
 }
 
 TEST(Engine, NativeMatchesInterpOnEigensystems) {
-  std::string Src = probeGridProgram(
-      "field#2(3)[] F = img ⊛ bspln3;",
-      "output vec3 out = [0.0,0.0,0.0];",
-      R"(tensor[3,3] H = ∇⊗∇F(pos);
-      out = evals(H);)");
-  std::vector<double> A, B;
-  runBoth(Src, synth::lungVessels(20), "out", A, B);
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t K = 0; K < A.size(); ++K)
-    EXPECT_NEAR(A[K], B[K], 1e-8);
+  // Eigenvalues alone, eigenvectors that reuse the eigenvalues of the same
+  // matrix, and the 2x2 routines on the Hessian's leading block.
+  for (const char *Update : {
+           "out = evals(H);",
+           "out = evals(H)[1]*evecs(H)[1] + evecs(H)[2];",
+           R"(tensor[2,2] h = [[H[0,0], H[0,1]], [H[1,0], H[1,1]]];
+           out = [evals(h)[0], evecs(h)[1][0], evecs(h)[1][1]];)"}) {
+    SCOPED_TRACE(Update);
+    std::string Src = probeGridProgram(
+        "field#2(3)[] F = img ⊛ bspln3;",
+        "output vec3 out = [0.0,0.0,0.0];",
+        strf("tensor[3,3] H = ∇⊗∇F(pos);\n      ", Update));
+    std::vector<double> A, B;
+    runBoth(Src, synth::lungVessels(20), "out", A, B);
+    ASSERT_EQ(A.size(), B.size());
+    for (size_t K = 0; K < A.size(); ++K)
+      EXPECT_NEAR(A[K], B[K], 1e-8);
+  }
 }
 
 TEST(Engine, ParallelExecutionIsDeterministic) {
